@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Large-geometry demonstration: completeness in PG(12,4).
 
-Loads a cap file, or draws a seeded pseudorandom cap of --size points,
-validates it, and runs the sharded checker.  The coverage window is
-what bounds memory: with --shards 32 --workers 4 the bit-maps alive at
-any moment total 1 MiB instead of the full 8 MiB.  Examples:
+Loads a cap file, or draws a seeded pseudorandom cap of --size points
+(a complete cap, if the greedy growth completes first), validates it,
+and runs the sharded checker.  The coverage windows bound the bit-map
+memory: with --shards 32 --workers 4 the bit-maps alive at any moment
+total 1 MiB instead of the full 8 MiB.  The per-point covered flags
+(22 MB) are not split.  Each window forms only its own secant codes,
+so the shard count costs little time.  Examples:
 
     python3 scripts/pg12_stress.py --size 10000
     python3 scripts/pg12_stress.py --cap-file cap12.txt --shards 32 --workers 4

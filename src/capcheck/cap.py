@@ -30,6 +30,7 @@ from .errors import (
     GeometryMismatchError,
     GeometryTooLargeError,
     InvalidCapError,
+    InvariantError,
     OutOfRangeError,
     WrongArityError,
     ZeroVectorError,
@@ -225,7 +226,7 @@ def _validate_vector(c: Cap) -> CapViolation | None:
             j = int(where[0][1])
             a, b, d = sorted((c.points[i], c.points[j], c.points[t]))
             return CapViolation((a, b, d))
-    raise AssertionError("covered cap point without a generating pair")
+    raise InvariantError("covered cap point without a generating pair")
 
 
 def _validate_scalar(c: Cap) -> CapViolation | None:

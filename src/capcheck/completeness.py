@@ -10,10 +10,14 @@ naive   the baseline it replaces: normalizes every generated point and
         marks a byte per normalized point.
 oracle  the definition, point by point, with no coverage map at all;
         only for small geometries.
-split   the fast checker replayed once per contiguous window of the
-        code range, keeping only one window of bits alive per worker;
-        verdict and uncovered set are identical to fast for every
-        (shards, workers).
+split   the fast checker over contiguous windows of the code range,
+        one bit-map per window and one alive per worker.  Each window
+        forms only the secant codes that land in it (coverage.py
+        clusters the generators by top code bits) and scans only the
+        points with a scalar multiple in it, so the work summed over
+        the windows stays that of one full map.  Verdict, uncovered set
+        and counters are identical to fast for every (shards, workers).
+        The per-point covered flags still take point_count bytes.
 
 All four agree exactly; the test suite holds them to that.
 """
@@ -22,14 +26,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .cap import Cap
-from .coverage import CoverageMap, mark_pair_secants, multiples_table
-from .errors import CapTooLargeError, GeometryTooLargeError
+from .coverage import CoverageMap, SecantClusters, mark_pair_secants, multiples_table
+from .errors import CapTooLargeError, GeometryTooLargeError, InvariantError
 from .geometry import (
     Geometry,
     enumerate_points,
@@ -41,27 +45,8 @@ from .geometry import (
 )
 
 ORACLE_POINT_LIMIT = 1_000_000
-_SCAN_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class ScalarTable:
-    """Precomputed scalar multiples of the cap points.
-
-    array[i][j] = code of (j+1) * P_i; column 0 is the cap itself and
-    the table holds exactly n*(q-1) codes.
-    """
-
-    geometry: Geometry
-    array: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.array.size
-
-
-def precompute_multiples(c: Cap) -> ScalarTable:
-    return ScalarTable(c.geometry, multiples_table(c.codes(), c.geometry))
+# codes per scan step: its uint64 temporaries stay in the L2 cache
+_SCAN_CHUNK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -129,43 +114,44 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# fast checker and its sharded replay
+# fast checker and its windows
 # ---------------------------------------------------------------------------
 
 
-def _scan_window(cov: CoverageMap, g: Geometry) -> np.ndarray:
-    """Covered flags, in enumeration order, from one window's bits.
+def _scan_window(cov: CoverageMap, g: Geometry, covered: np.ndarray) -> None:
+    """Flag, in enumeration order, the points with a multiple marked in cov.
 
-    Walks the normalized codes block by block; for each nonzero alpha
-    the representative alpha*Q of a block-d point lands in
-    [alpha*q^d, (alpha+1)*q^d), so whole (d, alpha) strips that miss
-    the window are skipped outright.
+    The representative alpha*Q of the block-d point Q = q^d + s is
+    alpha*q^d + alpha*s, in the strip [alpha*q^d, (alpha+1)*q^d).  The
+    strips wholly inside the window are read by gathering the bits of
+    every point's representatives; a strip the window cuts is read from
+    its marked codes x, each of which covers s = alpha^-1 * (x - alpha*q^d).
+    Flags are only ever set, so windows may scan into one array at once.
     """
-    covered = np.empty(g.point_count, dtype=bool)
     pos = 0
     for d in range(g.r + 1):
         base = 1 << (g.k * d)
-        alphas = [
-            a
-            for a in g.field.nonzero_elements()
-            if a * base < cov.hi and (a + 1) * base > cov.lo
-        ]
-        for start in range(0, base, _SCAN_CHUNK):
-            stop = min(base, start + _SCAN_CHUNK)
-            size = stop - start
-            if not alphas:
-                covered[pos : pos + size] = False
-                pos += size
-                continue
-            s = np.arange(start, stop, dtype=np.uint64)
-            acc = None
-            for alpha in alphas:
-                rep = np.uint64(alpha * base) + scalar_mul_codes(alpha, s, g, blocks=d)
-                bits = cov.test_codes(rep)
-                acc = bits if acc is None else (acc | bits)
-            covered[pos : pos + size] = acc
-            pos += size
-    return covered
+        flags = covered[pos : pos + base]
+        inside = []
+        for alpha in g.field.nonzero_elements():
+            strip_lo = alpha * base
+            lo, hi = max(cov.lo, strip_lo), min(cov.hi, strip_lo + base)
+            if hi - lo == base:
+                inside.append(alpha)
+            elif lo < hi:
+                inv = g.field.inv(alpha)
+                for start in range(lo, hi, _SCAN_CHUNK):
+                    x = cov.marked_codes(start, min(hi, start + _SCAN_CHUNK))
+                    s = scalar_mul_codes(inv, x - np.uint64(strip_lo), g, blocks=d)
+                    flags[s.astype(np.intp)] = True
+        if inside:
+            for start in range(0, base, _SCAN_CHUNK):
+                s = np.arange(start, min(base, start + _SCAN_CHUNK), dtype=np.uint64)
+                acc = np.zeros(s.size, dtype=bool)
+                for alpha in inside:
+                    acc |= cov.test_codes(np.uint64(alpha * base) + scalar_mul_codes(alpha, s, g, blocks=d))
+                flags[start : start + s.size][acc] = True
+        pos += base
 
 
 def _strip_cap_points(uncovered_idx: np.ndarray, c: Cap) -> np.ndarray:
@@ -190,29 +176,29 @@ def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
     width = -(-span // shards)
     windows = [(lo, min(span, lo + width)) for lo in range(0, span, width)]
     workers = min(workers, len(windows))
-
-    def run_window(window: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        cov = CoverageMap(g, window[0], window[1])
-        pairs, landed = mark_pair_secants(cov, mult, codes)
-        covered = _scan_window(cov, g)
-        cov.release()
-        return pairs, landed, covered
-
+    # 2^bits >= shards clusters, so each window spans few of them
+    clusters = SecantClusters(mult, codes, g, min(g.code_bits, (shards - 1).bit_length()))
     covered = np.zeros(g.point_count, dtype=bool)
-    pairs = c.n * (c.n - 1) // 2
-    marks = 0
+
+    def run_window(window: tuple[int, int]) -> tuple[int, int]:
+        cov = CoverageMap(g, window[0], window[1])
+        counts = mark_pair_secants(cov, mult, codes, clusters)
+        _scan_window(cov, g, covered)
+        return counts
+
     if workers == 1:
-        for w in windows:
-            wp, landed, cov_w = run_window(w)
-            assert wp == pairs
-            marks += landed
-            covered |= cov_w
+        counts = [run_window(w) for w in windows]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for wp, landed, cov_w in pool.map(run_window, windows):
-                assert wp == pairs
-                marks += landed
-                covered |= cov_w
+            counts = list(pool.map(run_window, windows))
+    pairs = c.n * (c.n - 1) // 2
+    counted = sum(p for p, _ in counts)
+    marks = sum(m for _, m in counts)
+    if (counted, marks) != (pairs, pairs * (g.q - 1)):
+        raise InvariantError(
+            f"windows landed {marks} marks from {counted} pairs; "
+            f"expected {pairs * (g.q - 1)} from {pairs}"
+        )
     uncovered = _strip_cap_points(np.flatnonzero(~covered), c)
     peak = workers * (-(-width // 8))
     return _finish(c, uncovered, pairs, marks, "fast", shards, peak, t0)
@@ -224,7 +210,7 @@ def check_fast(c: Cap) -> CompletenessReport:
 
 
 def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
-    """Fast checker replayed per window; same report for any (shards, workers)."""
+    """Fast checker over `shards` windows; same report for any (shards, workers)."""
     return _check_marking(c, shards, workers)
 
 

@@ -2,14 +2,19 @@
 
 The map spans a window [lo, hi) of the raw code range [0, q^(r+1)) at
 one bit per code, so the whole of PG(12,4) costs 4^13 bits = 8 MiB.
-Marks outside the window are dropped; that is the entire splitting
-story: replay the same marking loop once per window and only pay for
-one window of bits at a time.
+A sharded check gives each window its own map.  The top bits of a
+secant code alpha*P_i ^ P_j are the XOR of the top bits of alpha*P_i
+and of P_j, so with the cap codes and their multiples clustered by top
+bits (SecantClusters), a window pairs each multiple only with the cap
+codes whose secants can land in it, and the marking work summed over
+all windows equals that of one full map.
 
 Codes reaching this module must fit in a uint64 (geometry enforces it).
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -21,8 +26,9 @@ DEFAULT_MAX_COVERAGE_BYTES = 1 << 31
 
 _BIT = (np.uint8(1) << np.arange(8, dtype=np.uint8))
 
-# one-shot pair marking below this many generated codes, per-point blocks above
-_ONESHOT_LIMIT = 1 << 22
+# a staircase of at most this many generated codes is marked in one shot,
+# a larger one in blocks of about this size (the temporaries stay in cache)
+_ONESHOT_LIMIT = 1 << 15
 
 
 class CoverageMap:
@@ -60,12 +66,21 @@ class CoverageMap:
     def mark_codes(self, codes: np.ndarray) -> int:
         """Set the bits of all in-window codes; returns how many landed."""
         if not self.is_full_span:
-            codes = codes[(codes >= self.lo) & (codes < self.hi)]
+            codes = codes[self._inside(codes)]
             if self.lo:
                 codes = codes - np.uint64(self.lo)
         idx = (codes >> np.uint64(3)).astype(np.intp)
         np.bitwise_or.at(self._bits, idx, _BIT[(codes & np.uint64(7)).astype(np.uint8)])
         return codes.size
+
+    def count_codes(self, codes: np.ndarray) -> int:
+        """How many of the codes fall in the window."""
+        if self.is_full_span:
+            return int(codes.size)
+        return int(np.count_nonzero(self._inside(codes)))
+
+    def _inside(self, codes: np.ndarray) -> np.ndarray:
+        return (codes >= self.lo) & (codes < self.hi)
 
     def test_codes(self, codes: np.ndarray) -> np.ndarray:
         """Bit values for an array of codes; out-of-window codes read as 0."""
@@ -73,7 +88,7 @@ class CoverageMap:
             rel = codes
             out = None
         else:
-            inside = (codes >= self.lo) & (codes < self.hi)
+            inside = self._inside(codes)
             rel = (codes[inside] - np.uint64(self.lo)) if self.lo else codes[inside]
             out = inside
         bits = (
@@ -97,9 +112,12 @@ class CoverageMap:
         rel = code - self.lo
         return bool((self._bits[rel >> 3] >> (rel & 7)) & 1)
 
-    def release(self) -> None:
-        """Drop the backing array early (windows are short-lived in split runs)."""
-        self._bits = np.zeros(0, dtype=np.uint8)
+    def marked_codes(self, lo: int, hi: int) -> np.ndarray:
+        """The marked codes in [lo, hi), ascending; [lo, hi) must lie in the window."""
+        a, b = lo - self.lo, hi - self.lo
+        bits = np.unpackbits(self._bits[a >> 3 : -(-b // 8)], bitorder="little")
+        rel = np.flatnonzero(bits[a & 7 : (a & 7) + (b - a)])
+        return rel.astype(np.uint64) + np.uint64(lo)
 
 
 def multiples_table(codes: np.ndarray, g: Geometry) -> np.ndarray:
@@ -116,24 +134,102 @@ def multiples_table(codes: np.ndarray, g: Geometry) -> np.ndarray:
     return out
 
 
-def mark_pair_secants(cov: CoverageMap, mult: np.ndarray, codes: np.ndarray) -> tuple[int, int]:
+class SecantClusters:
+    """The secant generators of a cap, clustered by the top `bits` code bits.
+
+    Generator (i, j, alpha), i < j, yields the code alpha*P_i ^ P_j.  The
+    cap codes and their multiples are each clustered by top bits, every
+    cluster in ascending cap index.  The top bits of a code are the XOR
+    of its operands' top bits, so the codes with top bits b pair the
+    multiples with top bits u only with the cap codes with top bits
+    u ^ b: the radix clustering of Manegold, Boncz and Kersten
+    ("Optimizing main-memory join on modern hardware", IEEE TKDE 2002).
+    Build it once per cap and mark any number of windows from it.
+    """
+
+    __slots__ = ("shift", "cap_codes", "cap_index", "cap_clusters", "mult_codes", "mult_index",
+                 "mult_clusters")
+
+    def __init__(self, mult: np.ndarray, codes: np.ndarray, g: Geometry, bits: int = 0):
+        if not 0 <= bits <= g.code_bits:
+            raise ValueError(f"cluster bits {bits} outside [0, {g.code_bits}]")
+        self.shift = g.code_bits - bits
+        shift = np.uint64(self.shift)  # a shift by all 64 bits yields 0
+        self.cap_codes, self.cap_index, self.cap_clusters = _cluster(codes, shift)
+        self.mult_codes, order, self.mult_clusters = _cluster(mult.ravel(), shift)
+        self.mult_index = order // mult.shape[1]
+
+
+def _cluster(values: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray, dict[int, slice]]:
+    """Values stably sorted by top bits, the sorting order, and top bits -> slice of its run."""
+    top = values >> shift
+    order = np.argsort(top, kind="stable")
+    top = top[order]
+    one_run = not top.size or top[0] == top[-1]
+    starts = [] if one_run else ((top[1:] != top[:-1]).nonzero()[0] + 1).tolist()
+    bounds = [0, *starts, top.size]
+    runs = {int(top[a]): slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a}
+    return values[order], order, runs
+
+
+def mark_pair_secants(
+    cov: CoverageMap,
+    mult: np.ndarray,
+    codes: np.ndarray,
+    clusters: SecantClusters | None = None,
+) -> tuple[int, int]:
     """Mark alpha*P_i + P_j for every pair i < j and every nonzero alpha.
 
-    Returns (pairs processed, marks landed in the window).  Exactly
-    (q-1) codes are generated per pair; nothing is normalized.
+    With `clusters`, built once from the same mult and codes, a window
+    forms only the codes that can fall in it; without, every code is
+    formed and those outside the window are dropped.  Returns (pairs
+    whose code P_i ^ P_j lies in the window, marks landed): over the
+    windows of a partition these sum to n(n-1)/2 and (q-1) n(n-1)/2.
+    Nothing is normalized.
     """
-    n = codes.size
-    width = mult.shape[1]  # q - 1
-    landed = 0
-    if n * (n - 1) // 2 * width <= _ONESHOT_LIMIT:
-        ii, jj = np.triu_indices(n, 1)
-        if ii.size:
-            landed = cov.mark_codes((mult[ii] ^ codes[jj, None]).ravel())
-    else:
-        for i in range(n - 1):
-            block = mult[i][:, None] ^ codes[i + 1 :][None, :]
-            landed += cov.mark_codes(block.ravel())
-    return n * (n - 1) // 2, landed
+    if clusters is None:
+        clusters = SecantClusters(mult, codes, cov.geometry)
+    c = clusters
+    pairs = landed = 0
+    for b in range(cov.lo >> c.shift, ((cov.hi - 1) >> c.shift) + 1):
+        cut = b << c.shift < cov.lo or (b + 1) << c.shift > cov.hi
+        for u, mult_slice in c.mult_clusters.items():
+            partner = c.cap_clusters.get(u ^ b)
+            if partner is None:
+                continue
+            cv, ci = c.cap_codes[partner], c.cap_index[partner]
+            for marks in _staircase(c.mult_codes[mult_slice], c.mult_index[mult_slice], cv, ci):
+                landed += cov.mark_codes(marks)
+            # the alpha = 1 multiples with top bits u are the cap codes with top bits u
+            own = c.cap_clusters.get(u)
+            if own is None:
+                continue
+            if cut:
+                pieces = _staircase(c.cap_codes[own], c.cap_index[own], cv, ci)
+                pairs += sum(cov.count_codes(x) for x in pieces)
+            else:
+                pairs += int((ci.size - np.searchsorted(ci, c.cap_index[own], side="right")).sum())
+    return pairs, landed
+
+
+def _staircase(mv: np.ndarray, mi: np.ndarray, cv: np.ndarray, ci: np.ndarray) -> Iterator[np.ndarray]:
+    """The codes mv[e] ^ cv[c] with ci[c] > mi[e], in pieces; mi and ci ascend.
+
+    Entry e pairs with the suffix cv[s[e]:].  A block of consecutive
+    entries is a full rectangle against cv[s_last:] plus a masked strip
+    against cv[s_first:s_last], so little is formed only to be dropped.
+    """
+    s = np.searchsorted(ci, mi, side="right")
+    h, width = mv.size, cv.size
+    step = max(1, _ONESHOT_LIMIT // width) if h * width > _ONESHOT_LIMIT else h
+    for a in range(0, h, step):
+        b = min(h, a + step)
+        first, last = int(s[a]), int(s[b - 1])
+        if last < width:
+            yield (mv[a:b, None] ^ cv[None, last:]).ravel()
+        if first < last:
+            strip = mv[a:b, None] ^ cv[None, first:last]
+            yield strip[np.arange(first, last) >= s[a:b, None]]
 
 
 def covered_codes(cov: CoverageMap, codes: np.ndarray, g: Geometry) -> np.ndarray:

@@ -67,3 +67,7 @@ class CapTooLargeError(CapcheckError):
 
 class LengthMismatchError(CapcheckError):
     """Vectors of different lengths in an inner product."""
+
+
+class InvariantError(CapcheckError):
+    """An internal consistency check failed: a bug in capcheck, not bad input."""

@@ -18,7 +18,6 @@ from capcheck import (
     encode_point,
     enumerate_points,
     greedy_extend,
-    precompute_multiples,
     random_cap,
     reports_agree,
 )
@@ -30,19 +29,6 @@ ALL_CHECKERS = [check_fast, check_naive, check_oracle]
 def _pairwise_agree(reports):
     first = reports[0]
     assert all(reports_agree(first, r) for r in reports[1:])
-
-
-# ---------------------------------------------------------------------------
-# scalar table
-# ---------------------------------------------------------------------------
-
-
-def test_precompute_multiples(hyperoval):
-    t = precompute_multiples(hyperoval)
-    assert t.size == 18
-    assert t.array.shape == (6, 3)
-    assert t.array[:, 0].tolist() == list(hyperoval.points)
-    assert t.geometry is hyperoval.geometry
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +120,61 @@ def test_covered_verdict_matches_definition(r, q, size):
 
 
 def test_split_grid_matches_fast():
-    g = Geometry(3, 4)
-    c = greedy_extend(Cap(g, ()), order_seed=3)
-    base = check_fast(c)
-    for shards in (1, 2, 3, 4, 8):
-        for workers in (1, 2, 4):
+    pg34 = greedy_extend(Cap(Geometry(3, 4), ()), order_seed=3)
+    grids = [
+        (pg34, [(s, w) for s in (1, 2, 3, 4, 8) for w in (1, 2, 4)]),
+        # PG(3,4) has 256 codes: the cluster bits clamp at code_bits,
+        # and from 256 shards on every window is one code
+        (pg34, [(s, w) for s in (16, 64, 256, 1000) for w in (1, 2)]),
+        # in PG(4,8) (k = 3) the window edges fall inside a coordinate
+        (random_cap(Geometry(4, 8), 40, seed=5), [(s, w) for s in (2, 3, 7, 16, 100) for w in (1, 2)]),
+    ]
+    for c, grid in grids:
+        base = check_fast(c)
+        for shards, workers in grid:
             rep = check_split(c, shards, workers)
             assert reports_agree(base, rep)
             assert rep.pairs_processed == base.pairs_processed
             assert rep.marks_issued == base.marks_issued
             assert rep.algorithm == "fast"
             assert rep.shards == shards
+
+
+@pytest.mark.parametrize("shards", [2, 4, 16, 64, 256])
+def test_split_marks_each_code_once(monkeypatch, shards):
+    """With power-of-two shards every code handed to a window lands in it."""
+    import capcheck.coverage as coverage_mod
+
+    g = Geometry(3, 4)
+    c = greedy_extend(Cap(g, ()), order_seed=3)
+    generated = []
+    original = coverage_mod.CoverageMap.mark_codes
+
+    def counting(self, codes):
+        landed = original(self, codes)
+        assert landed == codes.size
+        generated.append(int(codes.size))
+        return landed
+
+    monkeypatch.setattr(coverage_mod.CoverageMap, "mark_codes", counting)
+    rep = check_split(c, shards, 2)
+    assert sum(generated) == (g.q - 1) * c.n * (c.n - 1) // 2 == rep.marks_issued
+
+
+def test_split_workers_share_flags_without_losing_any():
+    """More workers than cores, switching threads often: no covered flag lost."""
+    import sys
+
+    g = Geometry(6, 4)
+    c = random_cap(g, 60, seed=9)
+    base = check_fast(c)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert reports_agree(base, check_split(c, 64, 8))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_split_rejects_bad_arguments(hyperoval):
@@ -262,3 +292,52 @@ def test_reports_agree_function(frame3, frame4):
     a = check_fast(frame3)
     assert reports_agree(a, check_oracle(frame3))
     assert not reports_agree(a, check_fast(frame4))
+
+
+# ---------------------------------------------------------------------------
+# internal invariants are errors, also under python -O
+# ---------------------------------------------------------------------------
+
+_BROKEN_INVARIANTS = """
+import numpy as np
+import capcheck.cap as cap_mod
+import capcheck.completeness as comp_mod
+from capcheck import Cap, Geometry, InvariantError, check_split, greedy_extend, validate_cap
+
+g = Geometry(3, 4)
+c = greedy_extend(Cap(g, ()), 3)
+mark = comp_mod.mark_pair_secants
+
+
+def one_mark_short(*args):
+    pairs, landed = mark(*args)
+    return pairs, landed - 1
+
+
+comp_mod.mark_pair_secants = one_mark_short
+try:
+    check_split(c, 4, 2)
+except InvariantError as exc:
+    print("check:", exc)
+cap_mod.covered_codes = lambda cov, codes, g: np.ones(codes.shape, dtype=bool)
+try:
+    validate_cap(c)
+except InvariantError as exc:
+    print("validate:", exc)
+"""
+
+
+def test_invariants_raise_under_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert "check: windows landed" in out
+    assert "validate: covered cap point without a generating pair" in out

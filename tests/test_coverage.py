@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capcheck import Cap, CoverageMap, Geometry, GeometryTooLargeError, normalize
-from capcheck.coverage import covered_codes, mark_pair_secants, multiples_table
+from capcheck.coverage import SecantClusters, covered_codes, mark_pair_secants, multiples_table
 import capcheck.coverage as coverage_mod
 
 PG24 = Geometry(2, 4)
@@ -124,8 +124,36 @@ def test_covered_codes_oracle(frame4):
         assert bool(flag) == reps_marked
 
 
-def test_release_frees_window():
-    cov = CoverageMap(PG24)
-    cov.mark(5)
-    cov.release()
-    assert cov._bits.size == 0
+@pytest.mark.parametrize("bits", [0, 1, 3, 6])
+@pytest.mark.parametrize("width", [5, 16, 23, 64])
+def test_clustered_windows_match_full_map(hyperoval, bits, width):
+    """Any cluster width against any window width: same bits, exact counts."""
+    codes = hyperoval.codes()
+    t = multiples_table(codes, PG24)
+    full = CoverageMap(PG24)
+    mark_pair_secants(full, t, codes)
+    clusters = SecantClusters(t, codes, PG24, bits)
+    pairs = landed = 0
+    for lo in range(0, 64, width):
+        hi = min(64, lo + width)
+        cov = CoverageMap(PG24, lo, hi)
+        p, m = mark_pair_secants(cov, t, codes, clusters)
+        pairs += p
+        landed += m
+        assert [cov.get(code) for code in range(lo, hi)] == [full.get(code) for code in range(lo, hi)]
+    assert (pairs, landed) == (15, 45)
+
+
+def test_cluster_bits_checked(hyperoval):
+    t = multiples_table(hyperoval.codes(), PG24)
+    with pytest.raises(ValueError):
+        SecantClusters(t, hyperoval.codes(), PG24, PG24.code_bits + 1)
+
+
+def test_marked_codes_reads_a_range():
+    cov = CoverageMap(PG24, lo=5, hi=50)
+    for code in (5, 12, 13, 40, 49):
+        cov.mark(code)
+    assert cov.marked_codes(5, 50).tolist() == [5, 12, 13, 40, 49]
+    assert cov.marked_codes(13, 41).tolist() == [13, 40]
+    assert cov.marked_codes(14, 40).tolist() == []
