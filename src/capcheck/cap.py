@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,12 +202,13 @@ def validate_cap(c: Cap) -> CapViolation | None:
     if c.n < 3:
         return None
     try:
-        return _validate_vector(c)
+        return _secant_map(c)[1]
     except GeometryTooLargeError:
         return _validate_scalar(c)
 
 
-def _validate_vector(c: Cap) -> CapViolation | None:
+def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
+    """A full-span map of c's secants, and a collinear triple if it covers a point of c."""
     g = c.geometry
     codes = c.codes()
     cov = CoverageMap(g)
@@ -215,7 +216,7 @@ def _validate_vector(c: Cap) -> CapViolation | None:
     mark_pair_secants(cov, mult, codes)
     hit = covered_codes(cov, codes, g)
     if not hit.any():
-        return None
+        return cov, None
     t = int(np.flatnonzero(hit)[0])
     target_reps = mult[t]
     for i in range(c.n):
@@ -225,7 +226,7 @@ def _validate_vector(c: Cap) -> CapViolation | None:
         if where.size:
             j = int(where[0][1])
             a, b, d = sorted((c.points[i], c.points[j], c.points[t]))
-            return CapViolation((a, b, d))
+            return cov, CapViolation((a, b, d))
     raise InvariantError("covered cap point without a generating pair")
 
 
@@ -287,22 +288,22 @@ def _lcg_chunks(m: int, seed: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]
 
 
 def _grow_greedily(
-    g: Geometry, start: Iterable[int], seed: int, limit: int | None = None
+    cov: CoverageMap, start: Sequence[int], seed: int, limit: int | None = None
 ) -> list[int]:
     """Extend a cap by scanning candidates in seeded permutation order.
 
     A point is added exactly when it lies on no secant of the current
-    cap, i.e. when none of its scalar multiples is marked.  One pass
-    suffices: coverage only grows, so every skipped point stays covered.
+    cap (cov starts with those of `start`), i.e. when none of its scalar
+    multiples is marked.  One pass suffices: coverage only grows, so
+    every skipped point stays covered.
     """
-    pts = list(start)
-    capset = set(pts)
-    cov = CoverageMap(g)
-    if len(pts) >= 2:
-        arr = np.array(pts, dtype=np.uint64)
-        mark_pair_secants(cov, multiples_table(arr, g), arr)
-    if limit is not None and len(pts) >= limit:
-        return pts
+    g = cov.geometry
+    n = len(start)
+    if limit is not None and n >= limit:
+        return list(start)
+    capset = set(start)
+    buf = np.empty(max(64, 2 * n), dtype=np.uint64)  # the cap so far, doubled when full
+    buf[:n] = start
     nonzero = list(g.field.nonzero_elements())
     for idx in _lcg_chunks(g.point_count, seed):
         codes = points_by_index(idx, g)
@@ -316,27 +317,30 @@ def _grow_greedily(
             reps = [scalar_mul_point(alpha, code, g) for alpha in nonzero]
             if any(cov.get(rep) for rep in reps):  # bits may have moved within the chunk
                 continue
-            if pts:
-                marks = np.array(reps, dtype=np.uint64)[:, None] ^ np.array(
-                    pts, dtype=np.uint64
-                )[None, :]
-                cov.mark_codes(marks.ravel())
-            pts.append(code)
+            if n:
+                cov.mark_codes((np.array(reps, dtype=np.uint64)[:, None] ^ buf[None, :n]).ravel())
+            if n == buf.size:
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            buf[n] = code
+            n += 1
             capset.add(code)
-            if limit is not None and len(pts) >= limit:
-                return pts
-    return pts
+            if limit is not None and n >= limit:
+                return buf[:n].tolist()
+    return buf[:n].tolist()
 
 
 def greedy_extend(c: Cap, order_seed: int) -> Cap:
-    """Complete cap containing c, deterministic for a given (c, seed)."""
-    witness = validate_cap(c)
+    """Complete cap containing c, deterministic for a given (c, seed).
+
+    Validates c on the map of its secants, then grows from that map.
+    """
+    cov, witness = _secant_map(c) if c.n >= 2 else (CoverageMap(c.geometry), None)
     if witness is not None:
         raise InvalidCapError(str(witness))
-    return Cap(c.geometry, tuple(_grow_greedily(c.geometry, c.points, order_seed)))
+    return Cap(c.geometry, tuple(_grow_greedily(cov, c.points, order_seed)))
 
 
 def random_cap(g: Geometry, size: int, seed: int) -> Cap:
     """Seed-determined cap of the requested size (smaller only if the
     greedy pass completes first)."""
-    return Cap(g, tuple(_grow_greedily(g, (), seed, limit=size)))
+    return Cap(g, tuple(_grow_greedily(CoverageMap(g), (), seed, limit=size)))

@@ -19,7 +19,9 @@ split   the fast checker over contiguous windows of the code range,
         and counters are identical to fast for every (shards, workers).
         The per-point covered flags still take point_count bytes.
 
-All four agree exactly; the test suite holds them to that.
+Each also reads the cap property off its own marks (`is_cap`): a covered
+cap point lies on a secant of two others.  All four agree exactly on the
+verdict, the uncovered set and `is_cap`; the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class CompletenessReport:
     geometry: str
     elapsed_ms: float
     peak_coverage_bytes: int
+    is_cap: bool  # no cap point lies on a secant; not part of the report
 
     @property
     def uncovered_count(self) -> int:
@@ -91,6 +93,7 @@ def _require_checkable(c: Cap) -> None:
 
 def _finish(
     c: Cap,
+    is_cap: bool,
     uncovered: np.ndarray,
     pairs: int,
     marks: int,
@@ -110,6 +113,7 @@ def _finish(
         geometry=c.geometry.label,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         peak_coverage_bytes=peak,
+        is_cap=is_cap,
     )
 
 
@@ -154,16 +158,6 @@ def _scan_window(cov: CoverageMap, g: Geometry, covered: np.ndarray) -> None:
         pos += base
 
 
-def _strip_cap_points(uncovered_idx: np.ndarray, c: Cap) -> np.ndarray:
-    codes = points_by_index(uncovered_idx.astype(np.uint64), c.geometry)
-    if c.n:
-        cap_sorted = np.sort(c.codes())
-        pos = np.searchsorted(cap_sorted, codes)
-        pos[pos == cap_sorted.size] = cap_sorted.size - 1
-        codes = codes[cap_sorted[pos] != codes]
-    return codes
-
-
 def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
     _require_checkable(c)
     if shards < 1 or workers < 1:
@@ -199,9 +193,13 @@ def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
             f"windows landed {marks} marks from {counted} pairs; "
             f"expected {pairs * (g.q - 1)} from {pairs}"
         )
-    uncovered = _strip_cap_points(np.flatnonzero(~covered), c)
+    # a cap point on a secant makes a collinear triple; cap points are never uncovered
+    cap_idx = np.array([index_of_point(p, g) for p in c.points], dtype=np.intp)
+    is_cap = not covered[cap_idx].any()
+    covered[cap_idx] = True
+    uncovered = points_by_index(np.flatnonzero(~covered).astype(np.uint64), g)
     peak = workers * (-(-width // 8))
-    return _finish(c, uncovered, pairs, marks, "fast", shards, peak, t0)
+    return _finish(c, is_cap, uncovered, pairs, marks, "fast", shards, peak, t0)
 
 
 def check_fast(c: Cap) -> CompletenessReport:
@@ -234,6 +232,7 @@ def check_naive(c: Cap) -> CompletenessReport:
             cj = codes[j]
             for ai in row_i:
                 covered[index_of_point(normalize(ai ^ cj, g), g)] = 1
+    is_cap = not any(covered[index_of_point(p, g)] for p in codes)
     capset = set(codes)
     uncovered = np.array(
         [
@@ -244,7 +243,7 @@ def check_naive(c: Cap) -> CompletenessReport:
         dtype=np.uint64,
     )
     pairs = n * (n - 1) // 2
-    return _finish(c, uncovered, pairs, pairs * (g.q - 1), "naive", 1, g.point_count, t0)
+    return _finish(c, is_cap, uncovered, pairs, pairs * (g.q - 1), "naive", 1, g.point_count, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,8 @@ def check_oracle(c: Cap) -> CompletenessReport:
     """Point-by-point application of the covering definition.
 
     A point is covered when one of the lines joining it to a cap point
-    passes through a second cap point.  Quadratic per point and happily
+    passes through a second cap point; the input is a cap when no cap
+    point is covered by the others.  Quadratic per point and happily
     so; restricted to geometries with at most ORACLE_POINT_LIMIT points.
     """
     _require_checkable(c)
@@ -269,26 +269,29 @@ def check_oracle(c: Cap) -> CompletenessReport:
     capset = set(c.points)
     nonzero = list(g.field.nonzero_elements())
     uncovered = []
+    is_cap = True
     for qpt in enumerate_points(g):
-        if qpt in capset:
-            continue
         reps = [scalar_mul_point(a, qpt, g) for a in nonzero]
         covered = False
         for p in c.points:
+            if p == qpt:
+                continue
             for rep in reps:
                 if normalize(rep ^ p, g) in capset:
                     covered = True
                     break
             if covered:
                 break
-        if not covered:
+        if qpt in capset:
+            is_cap &= not covered
+        elif not covered:
             uncovered.append(qpt)
-    return _finish(c, np.array(uncovered, dtype=np.uint64), 0, 0, "oracle", 1, 0, t0)
+    return _finish(c, is_cap, np.array(uncovered, dtype=np.uint64), 0, 0, "oracle", 1, 0, t0)
 
 
 # ---------------------------------------------------------------------------
 
 
 def reports_agree(a: CompletenessReport, b: CompletenessReport) -> bool:
-    """Same verdict and the same uncovered set."""
-    return bool(a.complete == b.complete and np.array_equal(a.uncovered, b.uncovered))
+    """Same verdict, the same uncovered set and the same cap verdict."""
+    return bool((a.complete, a.is_cap) == (b.complete, b.is_cap) and np.array_equal(a.uncovered, b.uncovered))

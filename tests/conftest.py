@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from capcheck import Cap, Geometry, encode_point, greedy_extend
+from capcheck import Cap, Geometry, encode_point, enumerate_points, greedy_extend
 
 settings.register_profile(
     "suite",
@@ -111,3 +112,20 @@ def corpus() -> list[CorpusEntry]:
                 )
             )
     return entries
+
+
+# ---------------------------------------------------------------------------
+# random point sets of 3 to 9 points, caps or not
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def random_point_sets() -> list[Cap]:
+    """Seed s draws from PG(3,4) when s is odd, else from PG(2,4)."""
+    sets = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = Geometry(3, 4) if seed % 2 else Geometry(2, 4)
+        pts = list(enumerate_points(g))
+        sets.append(Cap(g, tuple(sorted(rng.sample(pts, rng.randint(3, 9))))))
+    return sets

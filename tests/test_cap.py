@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 import pytest
@@ -22,7 +21,6 @@ from capcheck import (
     check_fast,
     decode_point,
     encode_point,
-    enumerate_points,
     greedy_extend,
     parse_cap,
     random_cap,
@@ -162,13 +160,10 @@ def _oracle_has_collinear_triple(c: Cap) -> bool:
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_validate_agrees_with_cubic_oracle(seed):
+def test_validate_agrees_with_cubic_oracle(random_point_sets, seed):
     """Random point sets, cap or not: same verdict as testing all triples."""
-    rng = random.Random(seed)
-    g = Geometry(3, 4) if seed % 2 else PG24
-    pts = list(enumerate_points(g))
-    sample = tuple(sorted(rng.sample(pts, rng.randint(3, 9))))
-    c = Cap(g, sample)
+    c = random_point_sets[seed]
+    g, sample = c.geometry, c.points
     violation = validate_cap(c)
     assert (violation is not None) == _oracle_has_collinear_triple(c)
     if violation is not None:

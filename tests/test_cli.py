@@ -189,10 +189,16 @@ def test_check_witness_truncation(tmp_path, capsys):
     assert len(rep["uncovered_sample"]) == 21
 
 
-def test_check_rejects_non_cap(bad_file, capsys):
-    code, out, _ = run_cli(["check", "--geometry", "2,4", bad_file], capsys)
+@pytest.mark.parametrize(
+    "options",
+    [["--algorithm", "fast"], ["--algorithm", "naive"], ["--algorithm", "oracle"],
+     ["--shards", "4", "--workers", "2"]],
+    ids=["fast", "naive", "oracle", "shards"],
+)
+def test_check_rejects_non_cap(bad_file, options, capsys):
+    code, out, _ = run_cli(["check", "--geometry", "2,4", *options, bad_file], capsys)
     assert code == 2
-    assert "not a cap" in out
+    assert out == "not a cap: collinear points 0x1, 0x4, 0x5\n"
 
 
 def test_check_no_validate_skips(bad_file, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from capcheck import (
     encode_point,
     enumerate_points,
     greedy_extend,
+    normalize,
     random_cap,
     reports_agree,
+    validate_cap,
 )
 from oracles import RefField, covered
 
@@ -292,6 +296,40 @@ def test_reports_agree_function(frame3, frame4):
     a = check_fast(frame3)
     assert reports_agree(a, check_oracle(frame3))
     assert not reports_agree(a, check_fast(frame4))
+    assert not reports_agree(a, dataclasses.replace(a, is_cap=False))
+
+
+def test_cap_verdicts_agree(corpus, random_point_sets):
+    """Every checker's is_cap is validate_cap's verdict, for caps and non-caps."""
+    caps = [entry.cap for entry in corpus]
+    # a cap of each corpus geometry plus a point on the line of its first two points
+    per_geometry = {c.geometry: c for c in caps if c.n >= 2}.values()
+    lines = [
+        Cap(c.geometry, c.points + (normalize(c.points[0] ^ c.points[1], c.geometry),))
+        for c in per_geometry
+    ]
+    non_caps = 0
+    for c in caps + random_point_sets + lines:
+        want = validate_cap(c) is None
+        non_caps += not want
+        for rep in (
+            check_fast(c),
+            check_split(c, 3, 2),
+            check_split(c, 16, 2),
+            check_naive(c),
+            check_oracle(c),
+        ):
+            assert rep.is_cap == want, (c, rep.algorithm, rep.shards)
+    assert non_caps >= len(lines) == 9
+
+
+def test_non_cap_report_leaves_out_its_points(pg24):
+    """A collinear cap point is neither uncovered nor in the report."""
+    line = Cap(pg24, (1, 4, 5))  # (0,0,1), (0,1,0), (0,1,1)
+    for rep in (check_fast(line), check_split(line, 4, 2), check_naive(line), check_oracle(line)):
+        assert not rep.is_cap
+        assert not set(line.points) & set(rep.uncovered.tolist())
+        assert "is_cap" not in rep.to_json_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""Each command marks a cap's secants once, into one map per window."""
+
+from __future__ import annotations
+
+import pytest
+
+import capcheck.cap as cap_mod
+import capcheck.coverage as coverage_mod
+from capcheck import Cap, Geometry, greedy_extend, random_cap, write_cap
+from capcheck.cli import main
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Lists that collect every CoverageMap built and every map cap.py marks secants into."""
+    maps, marked = [], []
+    init = coverage_mod.CoverageMap.__init__
+    mark = cap_mod.mark_pair_secants
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        maps.append(self)
+
+    def counting_mark(cov, *args):
+        marked.append(cov)
+        return mark(cov, *args)
+
+    monkeypatch.setattr(coverage_mod.CoverageMap, "__init__", counting_init)
+    monkeypatch.setattr(cap_mod, "mark_pair_secants", counting_mark)
+    return maps, marked
+
+
+@pytest.fixture
+def cap_file(tmp_path):
+    p = tmp_path / "cap.txt"
+    p.write_text(write_cap(random_cap(Geometry(4, 4), 12, seed=2)))
+    return str(p)
+
+
+@pytest.mark.parametrize("size", [2, 3, 12])
+def test_extend_marks_once(counted, size):
+    maps, marked = counted
+    c = random_cap(Geometry(3, 4), size, seed=1)
+    maps.clear()
+    ext = greedy_extend(c, order_seed=4)
+    assert ext.points[:size] == c.points
+    assert len(maps) == 1 and maps[0].is_full_span
+    assert len(marked) == 1 and marked[0] is maps[0]
+
+
+def test_extend_from_fewer_than_two_points_marks_nothing(counted):
+    maps, marked = counted
+    g = Geometry(3, 4)
+    for start in [(), greedy_extend(Cap(g, ()), 0).points[:1]]:
+        maps.clear()
+        greedy_extend(Cap(g, start), order_seed=4)
+        assert len(maps) == 1 and not marked
+
+
+def test_cli_extend_builds_one_map(cap_file, counted, capsys):
+    maps, marked = counted
+    assert main(["extend", "--geometry", "4,4", cap_file]) == 0
+    assert len(maps) == 1 and len(marked) == 1
+
+
+def test_cli_check_builds_one_map(cap_file, counted, capsys):
+    maps, marked = counted
+    assert main(["check", "--geometry", "4,4", cap_file]) == 1
+    assert len(maps) == 1 and maps[0].is_full_span
+    assert not marked  # the check marks through completeness.py, not cap.py
+
+
+def test_cli_sharded_check_builds_no_full_map(cap_file, counted, capsys):
+    maps, _ = counted
+    assert main(["check", "--geometry", "4,4", "--shards", "4", "--workers", "2", cap_file]) == 1
+    assert len(maps) == 4
+    assert not any(m.is_full_span for m in maps)

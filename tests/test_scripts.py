@@ -1,0 +1,31 @@
+"""Smoke runs of the scripts in scripts/, so API drift in them fails here."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_caps_runs(monkeypatch, capsys):
+    assert _load("search_caps", monkeypatch).main(["--geometry", "2,4", "--seeds", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PG(2,4): 5 greedy runs in ")
+    assert lines[-1].startswith("best: n=6 at seed ")
+
+
+def test_bench_fast_vs_naive_runs(monkeypatch, capsys):
+    assert _load("bench_fast_vs_naive", monkeypatch).main(["--cells", "2,4", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["geometry", "n", "fast_ms", "naive_ms", "ratio"]
+    assert lines[1].split()[:2] == ["PG(2,4)", "6"]
