@@ -4,8 +4,9 @@ Three interchangeable checkers plus a sharded variant:
 
 fast    marks the raw (non-normalized) code of every combination
         alpha*P1 + P2 in a bit-map over the whole code range, then
-        decides each point by OR-ing the bits of its q-1 scalar
-        multiples.  No normalization anywhere on the hot path.
+        reads the marked codes back and flags the point each is a
+        multiple of, by one split-table multiply (geometry.py).  No
+        normalization anywhere on the hot path.
 naive   the baseline it replaces: normalizes every generated point and
         marks a byte per normalized point.
 oracle  the definition, point by point, with no coverage map at all;
@@ -13,11 +14,11 @@ oracle  the definition, point by point, with no coverage map at all;
 split   the fast checker over contiguous windows of the code range,
         one bit-map per window and one alive per worker.  Each window
         forms only the secant codes that land in it (coverage.py
-        clusters the generators by top code bits) and scans only the
-        points with a scalar multiple in it, so the work summed over
-        the windows stays that of one full map.  Verdict, uncovered set
-        and counters are identical to fast for every (shards, workers).
-        The per-point covered flags still take point_count bytes.
+        clusters the generators by top code bits) and reads back only
+        its own marked codes, so the work summed over the windows stays
+        that of one full map.  Verdict, uncovered set and counters are
+        identical to fast for every (shards, workers).  The per-point
+        covered flags still take point_count bytes.
 
 Each also reads the cap property off its own marks (`is_cap`): a covered
 cap point lies on a secant of two others.  All four agree exactly on the
@@ -126,35 +127,22 @@ def _scan_window(cov: CoverageMap, g: Geometry, covered: np.ndarray) -> None:
     """Flag, in enumeration order, the points with a multiple marked in cov.
 
     The representative alpha*Q of the block-d point Q = q^d + s is
-    alpha*q^d + alpha*s, in the strip [alpha*q^d, (alpha+1)*q^d).  The
-    strips wholly inside the window are read by gathering the bits of
-    every point's representatives; a strip the window cuts is read from
-    its marked codes x, each of which covers s = alpha^-1 * (x - alpha*q^d).
-    Flags are only ever set, so windows may scan into one array at once.
+    alpha*q^d + alpha*s, in the strip [alpha*q^d, (alpha+1)*q^d).  Each
+    strip part inside the window is read from its marked codes x, in
+    cache-sized chunks: x covers s = alpha^-1 * (x - alpha*q^d).  Flags
+    are only ever set, so windows may scan into one array at once.
     """
     pos = 0
     for d in range(g.r + 1):
         base = 1 << (g.k * d)
         flags = covered[pos : pos + base]
-        inside = []
         for alpha in g.field.nonzero_elements():
             strip_lo = alpha * base
             lo, hi = max(cov.lo, strip_lo), min(cov.hi, strip_lo + base)
-            if hi - lo == base:
-                inside.append(alpha)
-            elif lo < hi:
-                inv = g.field.inv(alpha)
-                for start in range(lo, hi, _SCAN_CHUNK):
-                    x = cov.marked_codes(start, min(hi, start + _SCAN_CHUNK))
-                    s = scalar_mul_codes(inv, x - np.uint64(strip_lo), g, blocks=d)
-                    flags[s.astype(np.intp)] = True
-        if inside:
-            for start in range(0, base, _SCAN_CHUNK):
-                s = np.arange(start, min(base, start + _SCAN_CHUNK), dtype=np.uint64)
-                acc = np.zeros(s.size, dtype=bool)
-                for alpha in inside:
-                    acc |= cov.test_codes(np.uint64(alpha * base) + scalar_mul_codes(alpha, s, g, blocks=d))
-                flags[start : start + s.size][acc] = True
+            inv = g.field.inv(alpha)
+            for start in range(lo, hi, _SCAN_CHUNK):
+                x = cov.marked_codes(start, min(hi, start + _SCAN_CHUNK))
+                flags[scalar_mul_codes(inv, x - np.uint64(strip_lo), g).astype(np.intp)] = True
         pos += base
 
 

@@ -27,7 +27,7 @@ DEFAULT_MAX_COVERAGE_BYTES = 1 << 31
 _BIT = (np.uint8(1) << np.arange(8, dtype=np.uint8))
 
 # a staircase of at most this many generated codes is marked in one shot,
-# a larger one in blocks of about this size (the temporaries stay in cache)
+# a larger one in pieces of about this size (the temporaries stay in cache)
 _ONESHOT_LIMIT = 1 << 15
 
 
@@ -100,11 +100,6 @@ class CoverageMap:
         result = np.zeros(codes.shape, dtype=bool)
         result[out] = bits
         return result
-
-    def mark(self, code: int) -> None:
-        if self.lo <= code < self.hi:
-            rel = code - self.lo
-            self._bits[rel >> 3] |= _BIT[rel & 7]
 
     def get(self, code: int) -> bool:
         if not self.lo <= code < self.hi:

@@ -58,6 +58,7 @@ class Geometry:
         "_cum",
         "_powers_arr",
         "_cum_arr",
+        "split_tables",
     )
 
     def __init__(self, r: int, q: int, modulus: int | None = None):
@@ -78,11 +79,14 @@ class Geometry:
         self._powers = [1 << (k * d) for d in range(r + 2)]
         self._cum = [(p - 1) // (q - 1) for p in self._powers]
         if self.code_bits <= WORD_BITS:
-            self._powers_arr = np.array(self._powers, dtype=np.uint64)
-            self._cum_arr = np.array(self._cum, dtype=np.uint64)
+            # d = 0 .. r only: q^(r+1) itself does not fit 64-bit codes
+            self._powers_arr = np.array(self._powers[:-1], dtype=np.uint64)
+            self._cum_arr = np.array(self._cum[:-1], dtype=np.uint64)
         else:
             self._powers_arr = None
             self._cum_arr = None
+        vector = self.code_bits <= WORD_BITS and k <= TABLE_DEGREE
+        self.split_tables = _split_tables(self) if vector else None  # for scalar_mul_codes
 
     @property
     def label(self) -> str:
@@ -98,6 +102,25 @@ class Geometry:
 
     def __repr__(self) -> str:
         return f"Geometry(r={self.r}, q={self.q})"
+
+
+def _split_tables(g: Geometry) -> np.ndarray:
+    """T[alpha, i, v] = alpha * (v << 8i), a q x ceil(code_bits/8) x 256 array.
+
+    Scaling is GF(2)-linear in the code bits: bit p maps to
+    alpha * 2^(p mod k) in coordinate p // k, even where a coordinate
+    straddles two bytes, and a byte maps to the XOR of its bits' images.
+    """
+    nbytes = -(-g.code_bits // 8)
+    images = np.zeros((g.q, nbytes * 8), dtype=np.uint64)
+    for p in range(g.code_bits):
+        images[:, p] = g.field.mul_array[:, 1 << (p % g.k)] << np.uint64(g.k * (p // g.k))
+    images = images.reshape(g.q, nbytes, 8)
+    v = np.arange(256, dtype=np.uint64)
+    tables = np.zeros((g.q, nbytes, 256), dtype=np.uint64)
+    for b in range(8):
+        tables ^= ((v >> np.uint64(b)) & np.uint64(1)) * images[:, :, b, None]
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +269,22 @@ def _require_vector_support(g: Geometry) -> None:
         )
 
 
-def scalar_mul_codes(
-    alpha: int, codes: np.ndarray, g: Geometry, blocks: int | None = None
-) -> np.ndarray:
-    """Vectorized scalar_mul_point over a uint64 code array.
+def scalar_mul_codes(alpha: int, codes: np.ndarray, g: Geometry) -> np.ndarray:
+    """Vectorized scalar_mul_point over a uint64 code array of any shape.
 
-    `blocks` limits the work to the low-order coordinate blocks (used
-    when the caller knows the higher blocks are zero).
+    The XOR of one g.split_tables lookup per code byte: the split tables
+    of Plank, Greenan and Miller (FAST 2013).
     """
     _require_vector_support(g)
     if alpha == 0:
         raise ZeroScalarError("scalar multiple by 0")
     if alpha == 1:
         return codes.copy()
-    if blocks is None:
-        blocks = g.r + 1
-    row = g.field.mul_array[alpha]
-    mask = np.uint64(g.q - 1)
-    out = np.zeros_like(codes)
-    for b in range(blocks):
-        shift = np.uint64(g.k * b)
-        out |= row[(codes >> shift) & mask] << shift
+    tables = g.split_tables[alpha]
+    octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8).reshape(codes.shape + (8,))
+    out = tables[0].take(octets[..., 0])
+    for i in range(1, tables.shape[0]):
+        out ^= tables[i].take(octets[..., i])
     return out
 
 

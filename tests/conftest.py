@@ -6,7 +6,18 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from capcheck import Cap, Geometry, encode_point, enumerate_points, greedy_extend
+from capcheck import (
+    Cap,
+    CompletenessReport,
+    Geometry,
+    check_fast,
+    check_naive,
+    check_oracle,
+    check_split,
+    encode_point,
+    enumerate_points,
+    greedy_extend,
+)
 
 settings.register_profile(
     "suite",
@@ -112,6 +123,32 @@ def corpus() -> list[CorpusEntry]:
                 )
             )
     return entries
+
+
+# every checker configuration the agreement tests compare, by name
+CHECKERS = {
+    "fast": check_fast,
+    "split(3,2)": lambda c: check_split(c, 3, 2),
+    "split(16,2)": lambda c: check_split(c, 16, 2),
+    "naive": check_naive,
+    "oracle": check_oracle,
+}
+
+
+def _reports(c: Cap) -> dict[str, CompletenessReport]:
+    return {name: check(c) for name, check in CHECKERS.items()}
+
+
+@pytest.fixture(scope="session")
+def checker_reports():
+    """A function: a cap's report from every checker in CHECKERS, by name."""
+    return _reports
+
+
+@pytest.fixture(scope="session")
+def corpus_reports(corpus: list[CorpusEntry]) -> list[dict[str, CompletenessReport]]:
+    """Each corpus cap's reports, computed once for all the tests that compare them."""
+    return [_reports(entry.cap) for entry in corpus]
 
 
 # ---------------------------------------------------------------------------

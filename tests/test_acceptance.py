@@ -132,15 +132,15 @@ def test_criterion_03_greedy_pg34_tops_out_at_17(pg34):
     )
 
 
-def test_criterion_04_checkers_agree_on_corpus(corpus):
+def test_criterion_04_checkers_agree_on_corpus(corpus, corpus_reports):
     t0 = time.perf_counter()
     assert len(corpus) >= 500
     cells = set()
-    for entry in corpus:
+    for entry, reps in zip(corpus, corpus_reports):
         c = entry.cap
         cells.add((c.geometry.r, c.geometry.q))
-        fast = check_fast(c)
-        for other in (check_naive(c), check_oracle(c), check_split(c, 3, 2)):
+        fast = reps["fast"]
+        for other in (reps["naive"], reps["oracle"], reps["split(3,2)"]):
             assert reports_agree(fast, other)
         if entry.kind == "greedy":
             assert fast.complete

@@ -255,6 +255,15 @@ def test_check_oracle_large_geometry_exits_4(tmp_path, capsys):
     assert "bound exceeded" in err
 
 
+def test_extend_64_bit_codes_exits_4(tmp_path, capsys):
+    """PG(7,256) codes take exactly 64 bits; its map is past the bound."""
+    p = tmp_path / "two.hex"
+    p.write_text("1\n100\n")
+    code, _, err = run_cli(["extend", "--geometry", "7,256", str(p)], capsys)
+    assert code == 4
+    assert "bound exceeded" in err
+
+
 def test_check_output_file(frame4_file, tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run_cli(

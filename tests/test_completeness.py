@@ -299,7 +299,7 @@ def test_reports_agree_function(frame3, frame4):
     assert not reports_agree(a, dataclasses.replace(a, is_cap=False))
 
 
-def test_cap_verdicts_agree(corpus, random_point_sets):
+def test_cap_verdicts_agree(corpus, corpus_reports, random_point_sets, checker_reports):
     """Every checker's is_cap is validate_cap's verdict, for caps and non-caps."""
     caps = [entry.cap for entry in corpus]
     # a cap of each corpus geometry plus a point on the line of its first two points
@@ -308,18 +308,15 @@ def test_cap_verdicts_agree(corpus, random_point_sets):
         Cap(c.geometry, c.points + (normalize(c.points[0] ^ c.points[1], c.geometry),))
         for c in per_geometry
     ]
+    extra = random_point_sets + lines
+    reports = corpus_reports + [checker_reports(c) for c in extra]
     non_caps = 0
-    for c in caps + random_point_sets + lines:
+    for c, reps in zip(caps + extra, reports):
         want = validate_cap(c) is None
         non_caps += not want
-        for rep in (
-            check_fast(c),
-            check_split(c, 3, 2),
-            check_split(c, 16, 2),
-            check_naive(c),
-            check_oracle(c),
-        ):
-            assert rep.is_cap == want, (c, rep.algorithm, rep.shards)
+        assert set(reps) == {"fast", "split(3,2)", "split(16,2)", "naive", "oracle"}
+        for name, rep in reps.items():
+            assert rep.is_cap == want, (c, name)
     assert non_caps >= len(lines) == 9
 
 

@@ -15,7 +15,7 @@ PG24 = Geometry(2, 4)
 def test_mark_and_get_scalar():
     cov = CoverageMap(PG24)
     assert not cov.get(17)
-    cov.mark(17)
+    assert cov.mark_codes(np.array([17], dtype=np.uint64)) == 1
     assert cov.get(17)
     assert not cov.get(16)
 
@@ -152,8 +152,7 @@ def test_cluster_bits_checked(hyperoval):
 
 def test_marked_codes_reads_a_range():
     cov = CoverageMap(PG24, lo=5, hi=50)
-    for code in (5, 12, 13, 40, 49):
-        cov.mark(code)
+    assert cov.mark_codes(np.array([5, 12, 13, 40, 49], dtype=np.uint64)) == 5
     assert cov.marked_codes(5, 50).tolist() == [5, 12, 13, 40, 49]
     assert cov.marked_codes(13, 41).tolist() == [13, 40]
     assert cov.marked_codes(14, 40).tolist() == []

@@ -36,6 +36,7 @@ from capcheck import (
     point_by_index,
     scalar_mul_point,
 )
+from capcheck.coverage import multiples_table
 from capcheck.geometry import points_by_index, scalar_mul_codes
 from oracles import RefField, all_points, encode_coords, normalize_vec, vec_add
 
@@ -216,13 +217,30 @@ def test_points_by_index_matches_scalar():
     assert [int(c) for c in codes] == list(enumerate_points(g))
 
 
-def test_scalar_mul_codes_matches_scalar():
-    g = Geometry(3, 4)
-    codes = np.array(list(enumerate_points(g)), dtype=np.uint64)
-    for alpha in (1, 2, 3):
-        vec = scalar_mul_codes(alpha, codes, g)
-        for c, v in zip(codes, vec):
-            assert int(v) == scalar_mul_point(alpha, int(c), g)
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_scalar_mul_codes_matches_scalar(q):
+    """Every k <= 8 (coordinates straddling bytes at k = 3, 5, 6, 7), at
+    r = 2 and at the widest r whose codes fit 64 bits (exactly 64 for
+    q = 2, 4, 16, 256); flat, strided and 2-D inputs."""
+    k = q.bit_length() - 1
+    rng = np.random.default_rng(q)
+    for r in (2, 64 // k - 1):
+        g = Geometry(r, q)
+        codes = rng.integers(1, g.code_span - 1, size=48, dtype=np.uint64, endpoint=True)
+        column = multiples_table(codes, g)[:, -1]
+        for x in (codes, column, codes.reshape(6, 8)):
+            for alpha in g.field.nonzero_elements():
+                got = scalar_mul_codes(alpha, x, g)
+                assert got.shape == x.shape
+                assert got.ravel().tolist() == [scalar_mul_point(alpha, int(c), g) for c in x.ravel()]
+
+
+@pytest.mark.parametrize("r,q", [(7, 256), (15, 16), (31, 4), (63, 2)])
+def test_64_bit_geometries(r, q):
+    g = Geometry(r, q)
+    assert g.code_bits == 64 and g.code_span == 1 << 64
+    idx = np.array([0, 1, g.point_count - 2, g.point_count - 1], dtype=np.uint64)
+    assert points_by_index(idx, g).tolist() == [point_by_index(int(t), g) for t in idx]
 
 
 def test_geometry_identities():

@@ -23,9 +23,3 @@ def test_search_caps_runs(monkeypatch, capsys):
     assert lines[0].startswith("PG(2,4): 5 greedy runs in ")
     assert lines[-1].startswith("best: n=6 at seed ")
 
-
-def test_bench_fast_vs_naive_runs(monkeypatch, capsys):
-    assert _load("bench_fast_vs_naive", monkeypatch).main(["--cells", "2,4", "--repeat", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["geometry", "n", "fast_ms", "naive_ms", "ratio"]
-    assert lines[1].split()[:2] == ["PG(2,4)", "6"]
