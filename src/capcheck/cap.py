@@ -267,24 +267,34 @@ def _lcg_chunks(m: int, seed: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]
     cadd = 2 * rng.randrange(big // 2) + 1
     x = rng.randrange(big)
     size = min(chunk, big)
-    # jump tables: x_(t+u) = aa[u] * x_t + cc[u]  (mod big)
-    aa = [1] * (size + 1)
-    cc = [0] * (size + 1)
-    for u in range(size):
-        aa[u + 1] = (aa[u] * a) % big
-        cc[u + 1] = (cc[u] * a + cadd) % big
-    aa_arr = np.array(aa[:-1], dtype=np.uint64)
-    cc_arr = np.array(cc[:-1], dtype=np.uint64)
+    aa, cc = _lcg_jumps(a, cadd, big, size)
     mask = np.uint64(big - 1)
     remaining = big
     while remaining > 0:
         take = min(size, remaining)
-        vals = (aa_arr[:take] * np.uint64(x) + cc_arr[:take]) & mask
+        vals = (aa[:take] * np.uint64(x) + cc[:take]) & mask
         vals = vals[vals < m]
         if vals.size:
             yield vals
-        x = (aa[take] * x + cc[take]) % big
+        x = (int(aa[take]) * x + int(cc[take])) % big
         remaining -= take
+
+
+def _lcg_jumps(a: int, cadd: int, big: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jump tables of x -> a*x + cadd (mod big): x_(t+u) = aa[u] * x_t + cc[u], u <= size.
+
+    aa[u] = a^u and cc[u] = cadd * (a^0 + ... + a^(u-1)).  uint64
+    products and sums wrap mod 2^64, which big (a power of two <= 2^64)
+    divides, so the tables are exact mod big.
+    """
+    steps = np.full(size + 1, a, dtype=np.uint64)
+    steps[0] = 1
+    aa = np.multiply.accumulate(steps)
+    cc = np.zeros(size + 1, dtype=np.uint64)
+    np.cumsum(aa[:-1], out=cc[1:])
+    cc *= np.uint64(cadd)
+    mask = np.uint64(big - 1)
+    return aa & mask, cc & mask
 
 
 def _grow_greedily(

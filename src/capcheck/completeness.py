@@ -5,8 +5,10 @@ Three interchangeable checkers plus a sharded variant:
 fast    marks the raw (non-normalized) code of every combination
         alpha*P1 + P2 in a bit-map over the whole code range, then
         reads the marked codes back and flags the point each is a
-        multiple of, by one split-table multiply (geometry.py).  No
-        normalization anywhere on the hot path.
+        multiple of, by one split-table multiply (geometry.py).  The
+        codes are formed in buckets of at most 2^20 by their top bits,
+        each staged a byte per code in cache and packed into the map
+        once (coverage.py).  No normalization anywhere on the hot path.
 naive   the baseline it replaces: normalizes every generated point and
         marks a byte per normalized point.
 oracle  the definition, point by point, with no coverage map at all;

@@ -78,6 +78,17 @@ def _pmod(a: int, m: int) -> int:
     return a
 
 
+def _product_table(k: int, modulus: int) -> np.ndarray:
+    """The 2^k x 2^k table of a*b mod modulus: a vectorized _clmul, then _pmod."""
+    e = np.arange(1 << k, dtype=np.uint64)
+    prod = np.zeros((e.size, e.size), dtype=np.uint64)
+    for i in range(k):
+        prod ^= (e[:, None] << np.uint64(i)) * ((e[None, :] >> np.uint64(i)) & np.uint64(1))
+    for d in range(2 * k - 2, k - 1, -1):
+        prod ^= ((prod >> np.uint64(d)) & np.uint64(1)) * np.uint64(modulus << (d - k))
+    return prod
+
+
 def is_irreducible(poly: int) -> bool:
     """True iff the integer-encoded polynomial has no nontrivial GF(2) factor."""
     degree = poly.bit_length() - 1
@@ -106,15 +117,12 @@ class FieldTable:
         self.modulus = modulus
         self.q = 1 << k
         if k <= TABLE_DEGREE:
-            q = self.q
-            rows = [[_pmod(_clmul(a, b), modulus) for b in range(q)] for a in range(q)]
-            self._mul: list[list[int]] | None = rows
-            self._sq: list[int] | None = [rows[a][a] for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = rows[a].index(1)
-            self._inv: list[int] | None = inv
-            self.mul_array: np.ndarray | None = np.array(rows, dtype=np.uint64)
+            table = _product_table(k, modulus)
+            self._mul: list[list[int]] | None = table.tolist()
+            self._sq: list[int] | None = table.diagonal().tolist()
+            inv = (table[1:] == 1).argmax(axis=1)
+            self._inv: list[int] | None = [0, *inv.tolist()]
+            self.mul_array: np.ndarray | None = table
         else:
             self._mul = None
             self._sq = None

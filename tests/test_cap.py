@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -27,7 +28,7 @@ from capcheck import (
     validate_cap,
     write_cap,
 )
-from capcheck.cap import _lcg_chunks
+from capcheck.cap import _lcg_chunks, _lcg_jumps
 from oracles import RefField, find_collinear_triple
 
 PG24 = Geometry(2, 4)
@@ -253,3 +254,55 @@ def test_random_cap_deterministic():
 def test_lcg_visits_every_index_once(m, seed):
     out = [int(x) for chunk in _lcg_chunks(m, seed) for x in chunk]
     assert sorted(out) == list(range(m))
+
+
+def _reference_jumps(a: int, cadd: int, big: int, size: int) -> tuple[list[int], list[int]]:
+    """The jump tables step by step: x_(t+u) = aa[u] * x_t + cc[u] (mod big)."""
+    aa = [1] * (size + 1)
+    cc = [0] * (size + 1)
+    for u in range(size):
+        aa[u + 1] = (aa[u] * a) % big
+        cc[u + 1] = (cc[u] * a + cadd) % big
+    return aa, cc
+
+
+def _reference_chunks(m: int, seed: int, chunk: int = 1 << 16):
+    """_lcg_chunks with the step-by-step tables and scalar arithmetic."""
+    bits = max(2, (m - 1).bit_length() if m > 1 else 1)
+    big = 1 << bits
+    rng = random.Random(seed)
+    a = 4 * rng.randrange(big // 4) + 1
+    cadd = 2 * rng.randrange(big // 2) + 1
+    x = rng.randrange(big)
+    size = min(chunk, big)
+    aa, cc = _reference_jumps(a, cadd, big, size)
+    remaining = big
+    while remaining > 0:
+        take = min(size, remaining)
+        vals = [(aa[u] * x + cc[u]) % big for u in range(take)]
+        yield [v for v in vals if v < m]
+        x = (aa[take] * x + cc[take]) % big
+        remaining -= take
+
+
+@pytest.mark.parametrize("bits", [2, 7, 22, 63, 64])
+def test_lcg_jump_tables_match_stepwise(bits):
+    big = 1 << bits
+    rng = random.Random(bits)
+    a, cadd = 4 * rng.randrange(big // 4) + 1, 2 * rng.randrange(big // 2) + 1
+    size = min(1 << 16, big)
+    aa, cc = _lcg_jumps(a, cadd, big, size)
+    assert (aa.tolist(), cc.tolist()) == _reference_jumps(a, cadd, big, size)
+
+
+@pytest.mark.parametrize("m", [1, 2, 85, Geometry(10, 4).point_count])
+def test_lcg_permutation_matches_stepwise(m):
+    got = [int(x) for chunk in _lcg_chunks(m, 7) for x in chunk]
+    assert got == [x for chunk in _reference_chunks(m, 7) for x in chunk]
+
+
+def test_lcg_63_bit_chunks_match_stepwise():
+    m = (1 << 62) + 1  # a 63-bit generator
+    got, want = _lcg_chunks(m, 3), _reference_chunks(m, 3)
+    for _ in range(2):  # the second chunk starts from a jump
+        assert next(got).tolist() == next(want)

@@ -165,6 +165,25 @@ def test_split_marks_each_code_once(monkeypatch, shards):
     assert sum(generated) == (g.q - 1) * c.n * (c.n - 1) // 2 == rep.marks_issued
 
 
+def test_tiny_stages_keep_the_four_checkers_in_agreement(monkeypatch, corpus, corpus_reports):
+    """Buckets of 4 codes, so many and sub-byte stages: fast and split still agree with naive and oracle."""
+    import capcheck.coverage as coverage_mod
+
+    monkeypatch.setattr(coverage_mod, "_STAGE_BITS", 2)
+    checked = 0
+    for entry, reps in zip(corpus, corpus_reports):
+        c = entry.cap
+        if c.geometry.code_bits > 9:  # PG(4,4) and up: 2^8+ buckets each, slow here
+            continue
+        # 3 windows: their edges cut buckets and start off the byte grid
+        for rep in (check_fast(c), check_split(c, 3, 2)):
+            assert reports_agree(rep, reps["naive"]) and reports_agree(rep, reps["oracle"])
+            assert rep.is_cap == reps["oracle"].is_cap
+            assert (rep.pairs_processed, rep.marks_issued) == (reps["fast"].pairs_processed, reps["fast"].marks_issued)
+        checked += 1
+    assert checked >= 400
+
+
 def test_split_workers_share_flags_without_losing_any():
     """More workers than cores, switching threads often: no covered flag lost."""
     import sys

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from capcheck import Cap, CoverageMap, Geometry, GeometryTooLargeError, normalize
+from capcheck import Cap, CoverageMap, Geometry, GeometryTooLargeError, InvariantError, normalize, random_cap
 from capcheck.coverage import SecantClusters, covered_codes, mark_pair_secants, multiples_table
 import capcheck.coverage as coverage_mod
 
@@ -156,3 +156,77 @@ def test_marked_codes_reads_a_range():
     assert cov.marked_codes(5, 50).tolist() == [5, 12, 13, 40, 49]
     assert cov.marked_codes(13, 41).tolist() == [13, 40]
     assert cov.marked_codes(14, 40).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# staged marking: a byte per code per radix bucket, packed into the map
+# ---------------------------------------------------------------------------
+
+PG48 = Geometry(4, 8)  # k = 3: window and bucket edges fall inside a coordinate
+
+
+def _secant_flags(t: np.ndarray, codes: np.ndarray, span: int) -> np.ndarray:
+    """One flag per code of the span, set one generated secant code at a time."""
+    flags = np.zeros(span, dtype=bool)
+    for i in range(codes.size):
+        for j in range(i + 1, codes.size):
+            for x in (t[i] ^ codes[j]).tolist():
+                flags[x] = True
+    return flags
+
+
+def _windows(span: int, shards: int) -> list[tuple[int, int]]:
+    width = -(-span // shards)
+    return [(lo, min(span, lo + width)) for lo in range(0, span, width)]
+
+
+@pytest.mark.parametrize("stage_bits", [20, 6, 2])
+@pytest.mark.parametrize(
+    "windows",
+    [
+        [(0, 1 << 15)],
+        _windows(1 << 15, 4),
+        _windows(1 << 15, 16),
+        _windows(1 << 15, 3),
+        _windows(1 << 15, 7),
+        _windows(1 << 15, 100),
+        [(0, 13), (13, 1001), (1001, 4099), (4099, 1 << 15)],  # lo not a multiple of 8
+    ],
+    ids=["full", "4", "16", "3", "7", "100", "odd-lo"],
+)
+def test_staged_marks_match_code_by_code(monkeypatch, stage_bits, windows):
+    """Every window's bits equal those of marking each secant code on its own."""
+    codes = random_cap(PG48, 40, seed=5).codes()
+    t = multiples_table(codes, PG48)
+    monkeypatch.setattr(coverage_mod, "_STAGE_BITS", stage_bits)
+    original = coverage_mod.CoverageMap.mark_codes
+
+    def staged_only(self, codes):
+        assert self._stage is not None  # never np.bitwise_or.at inside mark_pair_secants
+        return original(self, codes)
+
+    monkeypatch.setattr(coverage_mod.CoverageMap, "mark_codes", staged_only)
+    flags = _secant_flags(t, codes, PG48.code_span)
+    bits = min(PG48.code_bits, (len(windows) - 1).bit_length())
+    clusters = SecantClusters(t, codes, PG48, bits)
+    pairs = landed = 0
+    for lo, hi in windows:
+        cov = CoverageMap(PG48, lo, hi)
+        p, m = mark_pair_secants(cov, t, codes, clusters)
+        pairs += p
+        landed += m
+        assert np.array_equal(cov._bits, np.packbits(flags[lo:hi], bitorder="little")), (lo, hi)
+    assert (pairs, landed) == (780, 7 * 780)
+
+
+def test_code_outside_the_stage_raises():
+    """A stray code is an error, never a wrapped index that marks another code."""
+    cov = CoverageMap(PG24, lo=16, hi=48)
+    cov._stage = coverage_mod._Stage(cov, np.zeros(40, dtype=np.uint8), 32, 16)
+    for stray in (31, 48, 0, 63):  # 31 - 32 wraps to 2^64 - 1
+        with pytest.raises(InvariantError):
+            cov.mark_codes(np.array([40, stray], dtype=np.uint64))
+    assert cov.mark_codes(np.array([32, 47], dtype=np.uint64)) == 2
+    cov._stage.pack(cov)
+    cov._stage = None
+    assert cov.marked_codes(16, 48).tolist() == [32, 47]

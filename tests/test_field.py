@@ -14,7 +14,7 @@ from capcheck import (
     build_field,
     is_irreducible,
 )
-from oracles import RefField
+from oracles import RefField, poly_mul, poly_rem
 
 
 def test_documented_default_moduli():
@@ -126,6 +126,20 @@ def test_inverse_of_zero_raises(k):
 
 
 _F256 = build_field(8)
+
+
+@pytest.mark.parametrize(
+    "k, modulus", [(k, DEFAULT_MODULI[k]) for k in range(1, 9)] + [(8, 285)]  # x^8+x^4+x^3+x^2+1
+)
+def test_product_table_matches_polynomial_oracle(k, modulus):
+    """The whole vectorized table, against term-by-term polynomial products."""
+    f = build_field(k, modulus)
+    q = 1 << k
+    want = [[poly_rem(poly_mul(a, b), modulus) for b in range(q)] for a in range(q)]
+    assert f.mul_array.tolist() == want
+    assert f._mul == want and all(type(x) is int for row in f._mul for x in row)
+    assert [f.square(a) for a in range(q)] == [want[a][a] for a in range(q)]
+    assert all(want[a][f.inv(a)] == 1 for a in range(1, q))
 
 
 @given(a=st.integers(0, 255), b=st.integers(0, 255))
