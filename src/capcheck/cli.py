@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = add_command("check", cmd_check, "check completeness")
     p_check.add_argument("--algorithm", choices=("fast", "naive", "oracle"), default="fast")
-    p_check.add_argument("--shards", type=int, default=1, metavar="s")
+    p_check.add_argument("--shards", type=int, default=1, metavar="s",
+                         help="run the next power of two >= s bit-map windows")
     p_check.add_argument("--workers", type=int, default=1, metavar="w")
     p_check.add_argument(
         "--no-validate", dest="validate", action="store_false",

@@ -6,21 +6,21 @@ fast    marks the raw (non-normalized) code of every combination
         alpha*P1 + P2 in a bit-map over the whole code range, then
         reads the marked codes back and flags the point each is a
         multiple of, by one split-table multiply (geometry.py).  The
-        codes are formed in buckets of at most 2^20 by their top bits,
+        codes are formed in clusters of at most 2^20 by their top bits,
         each staged a byte per code in cache and packed into the map
         once (coverage.py).  No normalization anywhere on the hot path.
 naive   the baseline it replaces: normalizes every generated point and
         marks a byte per normalized point.
 oracle  the definition, point by point, with no coverage map at all;
         only for small geometries.
-split   the fast checker over contiguous windows of the code range,
-        one bit-map per window and one alive per worker.  Each window
-        forms only the secant codes that land in it (coverage.py
-        clusters the generators by top code bits) and reads back only
-        its own marked codes, so the work summed over the windows stays
-        that of one full map.  Verdict, uncovered set and counters are
-        identical to fast for every (shards, workers).  The per-point
-        covered flags still take point_count bytes.
+split   the fast checker over the next power of two >= shards windows
+        of the code range, one bit-map per window and one alive per
+        worker.  Each window holds whole clusters of the generators by
+        top code bits (coverage.py), so it forms only the secant codes
+        that land in it and reads back only its own marked codes.
+        Verdict, uncovered set and counters are identical to fast for
+        every (shards, workers); the report keeps the requested shard
+        count.  The per-point covered flags still take point_count bytes.
 
 Each also reads the cap property off its own marks (`is_cap`): a covered
 cap point lies on a secant of two others.  All four agree exactly on the
@@ -156,12 +156,12 @@ def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
     g = c.geometry
     codes = c.codes()
     mult = multiples_table(codes, g)
-    span = g.code_span
-    width = -(-span // shards)
-    windows = [(lo, min(span, lo + width)) for lo in range(0, span, width)]
+    # 2^bits >= shards windows, each a whole number of clusters
+    bits = min(g.code_bits, (shards - 1).bit_length())
+    width = g.code_span >> bits
+    windows = [(lo, lo + width) for lo in range(0, g.code_span, width)]
     workers = min(workers, len(windows))
-    # 2^bits >= shards clusters, so each window spans few of them
-    clusters = SecantClusters(mult, codes, g, min(g.code_bits, (shards - 1).bit_length()))
+    clusters = SecantClusters(mult, codes, g, bits)
     covered = np.zeros(g.point_count, dtype=bool)
 
     def run_window(window: tuple[int, int]) -> tuple[int, int]:
@@ -198,7 +198,7 @@ def check_fast(c: Cap) -> CompletenessReport:
 
 
 def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
-    """Fast checker over `shards` windows; same report for any (shards, workers)."""
+    """Fast checker over the next power of two >= `shards` windows; same report for any (shards, workers)."""
     return _check_marking(c, shards, workers)
 
 

@@ -7,9 +7,10 @@ secant code alpha*P_i ^ P_j are the XOR of the top bits of alpha*P_i
 and of P_j, so with the cap codes and their multiples clustered by top
 bits (SecantClusters), a window pairs each multiple only with the cap
 codes whose secants can land in it, and the marking work summed over
-all windows equals that of one full map.  Each bucket of codes with
-the same top bits is stored a byte per code into a cache-sized stage,
-then packed into the window's bit-map in one pass (_Stage).
+all windows equals that of one full map.  A window holds whole
+clusters; each is stored a byte per code into a cache-sized stage,
+then packed into the window's bit-map in one pass (_Stage), the only
+way a window map is written.
 
 Codes reaching this module must fit in a uint64 (geometry enforces it).
 """
@@ -32,7 +33,7 @@ _BIT = (np.uint8(1) << np.arange(8, dtype=np.uint8))
 # a larger one in pieces of about this size (the temporaries stay in cache)
 _ONESHOT_LIMIT = 1 << 15
 
-# a radix bucket spans at most 2^this codes, so its stage of a byte per
+# a radix cluster spans at most 2^this codes, so its stage of a byte per
 # code (1 MiB) stays in cache
 _STAGE_BITS = 20
 
@@ -42,22 +43,16 @@ class CoverageMap:
 
     __slots__ = ("geometry", "lo", "hi", "nbytes", "_bits", "_stage")
 
-    def __init__(
-        self,
-        g: Geometry,
-        lo: int = 0,
-        hi: int | None = None,
-        max_bytes: int = DEFAULT_MAX_COVERAGE_BYTES,
-    ):
+    def __init__(self, g: Geometry, lo: int = 0, hi: int | None = None):
         _require_vector_support(g)
         if hi is None:
             hi = g.code_span
         if not 0 <= lo < hi <= g.code_span:
             raise ValueError(f"bad window [{lo}, {hi}) for span {g.code_span}")
         nbytes = -(-(hi - lo) // 8)
-        if nbytes > max_bytes:
+        if nbytes > DEFAULT_MAX_COVERAGE_BYTES:
             raise GeometryTooLargeError(
-                f"coverage window needs {nbytes} bytes (> {max_bytes}); raise the shard count"
+                f"coverage window needs {nbytes} bytes (> {DEFAULT_MAX_COVERAGE_BYTES}); raise the shard count"
             )
         self.geometry = g
         self.lo = lo
@@ -71,48 +66,27 @@ class CoverageMap:
         return self.lo == 0 and self.hi == self.geometry.code_span
 
     def mark_codes(self, codes: np.ndarray) -> int:
-        """Set the bits of all in-window codes; returns how many landed.
+        """Set the bits of the codes; returns how many.
 
-        While mark_pair_secants has a bucket staged, the codes go into
-        its stage instead.
+        While mark_pair_secants has a cluster staged, the codes go into
+        its stage instead; otherwise the map must span every code.
         """
         if self._stage is not None:
             return self._stage.store(codes)
-        if not self.is_full_span:
-            codes = codes[self._inside(codes)]
-            if self.lo:
-                codes = codes - np.uint64(self.lo)
+        self._require_full_span("mark_codes")
         idx = (codes >> np.uint64(3)).astype(np.intp)
         np.bitwise_or.at(self._bits, idx, _BIT[(codes & np.uint64(7)).astype(np.uint8)])
         return codes.size
 
-    def count_codes(self, codes: np.ndarray) -> int:
-        """How many of the codes fall in the window."""
-        if self.is_full_span:
-            return int(codes.size)
-        return int(np.count_nonzero(self._inside(codes)))
-
-    def _inside(self, codes: np.ndarray) -> np.ndarray:
-        return (codes >= self.lo) & (codes < self.hi)
-
     def test_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Bit values for an array of codes; out-of-window codes read as 0."""
-        if self.is_full_span:
-            rel = codes
-            out = None
-        else:
-            inside = self._inside(codes)
-            rel = (codes[inside] - np.uint64(self.lo)) if self.lo else codes[inside]
-            out = inside
-        bits = (
-            self._bits[(rel >> np.uint64(3)).astype(np.intp)]
-            >> (rel & np.uint64(7)).astype(np.uint8)
-        ) & 1
-        if out is None:
-            return bits.astype(bool)
-        result = np.zeros(codes.shape, dtype=bool)
-        result[out] = bits
-        return result
+        """Bit values for an array of codes; the map must span every code."""
+        self._require_full_span("test_codes")
+        bits = self._bits[(codes >> np.uint64(3)).astype(np.intp)] >> (codes & np.uint64(7)).astype(np.uint8)
+        return (bits & 1).astype(bool)
+
+    def _require_full_span(self, what: str) -> None:
+        if not self.is_full_span:
+            raise ValueError(f"{what} needs a full-span map, not the window [{self.lo}, {self.hi})")
 
     def get(self, code: int) -> bool:
         if not self.lo <= code < self.hi:
@@ -129,34 +103,30 @@ class CoverageMap:
 
 
 class _Stage:
-    """One radix bucket [lo, lo + size) of a window, a byte per code.
+    """One radix cluster [lo, lo + size) of a window, a byte per code.
 
     A byte store into this cache-sized buffer costs a few ns, against
     tens of ns for np.bitwise_or.at into the bit-map; `pack` ORs the
-    bucket into the map once it is done.  The buffer starts on the map's
-    byte grid, so it packs onto whole map bytes for any window.  Only a
-    bucket that a window edge cuts masks its codes to the window.
+    cluster into the map once it is done.  The window holds whole
+    clusters, so every code stored lands.  The buffer starts on the
+    map's byte grid, so a cluster narrower than a byte, or one that
+    starts inside a byte, still packs onto whole map bytes.
     """
 
-    __slots__ = ("lo", "size", "keep", "buf", "view", "first", "stored")
+    __slots__ = ("lo", "size", "buf", "view", "first", "stored")
 
     def __init__(self, cov: CoverageMap, buf: np.ndarray, lo: int, size: int):
-        a, e = max(cov.lo, lo), min(cov.hi, lo + size)  # the part inside the window
+        rel = lo - cov.lo
         self.lo, self.size = lo, size
-        self.keep = None if (a, e) == (lo, lo + size) else (np.uint64(a - lo), np.uint64(e - lo))
-        rel = a - cov.lo
         self.first = rel >> 3
-        self.buf = buf[: ((rel & 7) + e - a + 7) & ~7]
-        self.view = self.buf[rel & 7 :]  # view[x - a] is the byte of code x
+        self.buf = buf[: ((rel & 7) + size + 7) & ~7]
+        self.view = self.buf[rel & 7 :]  # view[x - lo] is the byte of code x
         self.stored = False
 
     def store(self, codes: np.ndarray) -> int:
         rel = codes - np.uint64(self.lo)  # a code below lo wraps past size
         if rel.size and int(rel.max()) >= self.size:
-            raise InvariantError(f"code outside the staged bucket [{self.lo}, {self.lo + self.size})")
-        if self.keep is not None:
-            a, e = self.keep
-            rel = rel[(rel >= a) & (rel < e)] - a
+            raise InvariantError(f"code outside the staged cluster [{self.lo}, {self.lo + self.size})")
         self.view[rel.view(np.intp)] = 1
         self.stored |= rel.size > 0
         return rel.size
@@ -230,22 +200,24 @@ def mark_pair_secants(
 ) -> tuple[int, int]:
     """Mark alpha*P_i + P_j for every pair i < j and every nonzero alpha.
 
-    With `clusters`, built once from the same mult and codes, a window
-    forms only the codes that can fall in it; without, every code is
-    formed and those outside the window are dropped.  The codes of each
-    cluster are staged a byte each, then packed into cov.  Returns (pairs
-    whose code P_i ^ P_j lies in the window, marks landed): over the
-    windows of a partition these sum to n(n-1)/2 and (q-1) n(n-1)/2.
-    Nothing is normalized.
+    `clusters` (by default clustered for this window's width) must tile
+    the window with whole clusters, else ValueError; so the window forms
+    only the codes that fall in it.  Each cluster's codes are staged a
+    byte each, then packed into cov.  Returns (pairs whose code P_i ^ P_j
+    lies in the window, marks landed): over the windows of a partition
+    these sum to n(n-1)/2 and (q-1) n(n-1)/2.  Nothing is normalized.
     """
+    width = cov.hi - cov.lo
     if clusters is None:
-        clusters = SecantClusters(mult, codes, cov.geometry)
+        clusters = SecantClusters(mult, codes, cov.geometry, cov.geometry.code_bits + 1 - width.bit_length())
     c = clusters
     size = 1 << c.shift
+    if (cov.lo | width) & (size - 1):
+        raise ValueError(f"window [{cov.lo}, {cov.hi}) is not a whole number of {size}-code clusters")
     # one stage per call, so each window and thread has its own
-    buf = np.zeros((min(size, cov.hi - cov.lo) + 14) & ~7, dtype=np.uint8)
+    buf = np.zeros((size + 14) & ~7, dtype=np.uint8)
     pairs = landed = 0
-    for b in range(cov.lo >> c.shift, ((cov.hi - 1) >> c.shift) + 1):
+    for b in range(cov.lo >> c.shift, cov.hi >> c.shift):
         stage = cov._stage = _Stage(cov, buf, b << c.shift, size)
         try:
             for u, mult_slice in c.mult_clusters.items():
@@ -257,12 +229,7 @@ def mark_pair_secants(
                     landed += cov.mark_codes(marks)
                 # the alpha = 1 multiples with top bits u are the cap codes with top bits u
                 own = c.cap_clusters.get(u)
-                if own is None:
-                    continue
-                if stage.keep is not None:
-                    pieces = _staircase(c.cap_codes[own], c.cap_index[own], cv, ci)
-                    pairs += sum(cov.count_codes(x) for x in pieces)
-                else:
+                if own is not None:
                     pairs += int((ci.size - np.searchsorted(ci, c.cap_index[own], side="right")).sum())
         finally:
             cov._stage = None

@@ -144,9 +144,10 @@ def test_split_grid_matches_fast():
             assert rep.shards == shards
 
 
-@pytest.mark.parametrize("shards", [2, 4, 16, 64, 256])
+@pytest.mark.parametrize("shards", [2, 3, 4, 7, 16, 64, 100, 256])
 def test_split_marks_each_code_once(monkeypatch, shards):
-    """With power-of-two shards every code handed to a window lands in it."""
+    """Every code handed to a window lands in it; shards round up to a power of two."""
+    import capcheck.completeness as completeness_mod
     import capcheck.coverage as coverage_mod
 
     g = Geometry(3, 4)
@@ -161,8 +162,19 @@ def test_split_marks_each_code_once(monkeypatch, shards):
         return landed
 
     monkeypatch.setattr(coverage_mod.CoverageMap, "mark_codes", counting)
+    windows = []
+
+    def window_map(geometry, lo, hi):
+        windows.append((lo, hi))
+        return coverage_mod.CoverageMap(geometry, lo, hi)
+
+    monkeypatch.setattr(completeness_mod, "CoverageMap", window_map)
     rep = check_split(c, shards, 2)
     assert sum(generated) == (g.q - 1) * c.n * (c.n - 1) // 2 == rep.marks_issued
+    count = min(g.code_span, 1 << (shards - 1).bit_length())  # 3 shards run 4 windows
+    width = g.code_span // count
+    assert sorted(windows) == [(lo, lo + width) for lo in range(0, g.code_span, width)]
+    assert rep.shards == shards
 
 
 def test_tiny_stages_keep_the_four_checkers_in_agreement(monkeypatch, corpus, corpus_reports):
@@ -175,7 +187,8 @@ def test_tiny_stages_keep_the_four_checkers_in_agreement(monkeypatch, corpus, co
         c = entry.cap
         if c.geometry.code_bits > 9:  # PG(4,4) and up: 2^8+ buckets each, slow here
             continue
-        # 3 windows: their edges cut buckets and start off the byte grid
+        # 3 shards run 4 windows; in PG(2,2) and PG(3,2) they are narrower
+        # than a byte, and 4-code stages start off the byte grid everywhere
         for rep in (check_fast(c), check_split(c, 3, 2)):
             assert reports_agree(rep, reps["naive"]) and reports_agree(rep, reps["oracle"])
             assert rep.is_cap == reps["oracle"].is_cap

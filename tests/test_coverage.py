@@ -20,14 +20,20 @@ def test_mark_and_get_scalar():
     assert not cov.get(16)
 
 
-def test_window_filters_marks():
+def test_window_map_takes_marks_only_through_a_stage(hyperoval):
+    """A window map is written by mark_pair_secants and read by marked_codes."""
     cov = CoverageMap(PG24, lo=16, hi=32)
     codes = np.array([1, 16, 31, 32, 63], dtype=np.uint64)
-    assert cov.mark_codes(codes) == 2  # only 16 and 31 land
-    got = cov.test_codes(codes)
-    assert got.tolist() == [False, True, True, False, False]
-    assert not cov.get(1)  # out-of-window reads are False
-    assert cov.get(16) and cov.get(31)
+    with pytest.raises(ValueError):
+        cov.mark_codes(codes)
+    with pytest.raises(ValueError):
+        cov.test_codes(codes)
+    t = multiples_table(hyperoval.codes(), PG24)
+    mark_pair_secants(cov, t, hyperoval.codes())
+    full = CoverageMap(PG24)
+    mark_pair_secants(full, t, hyperoval.codes())
+    assert cov.marked_codes(16, 32).tolist() == full.marked_codes(16, 32).tolist()
+    assert not cov.get(1) and not cov.get(32)  # out-of-window reads are False
 
 
 def test_full_span_flag():
@@ -36,10 +42,10 @@ def test_full_span_flag():
 
 
 def test_memory_bound_enforced():
-    g = Geometry(12, 4)
+    g = Geometry(17, 4)
     with pytest.raises(GeometryTooLargeError):
-        CoverageMap(g, max_bytes=1024)
-    CoverageMap(g, lo=0, hi=8192, max_bytes=1024)  # a window that fits
+        CoverageMap(g)  # 8 GiB, refused before allocating
+    CoverageMap(g, 0, 8192)  # a window that fits
 
 
 def test_multiples_table_shape(hyperoval):
@@ -127,12 +133,16 @@ def test_covered_codes_oracle(frame4):
 @pytest.mark.parametrize("bits", [0, 1, 3, 6])
 @pytest.mark.parametrize("width", [5, 16, 23, 64])
 def test_clustered_windows_match_full_map(hyperoval, bits, width):
-    """Any cluster width against any window width: same bits, exact counts."""
+    """Windows of whole clusters: same bits, exact counts; any other window raises."""
     codes = hyperoval.codes()
     t = multiples_table(codes, PG24)
     full = CoverageMap(PG24)
     mark_pair_secants(full, t, codes)
     clusters = SecantClusters(t, codes, PG24, bits)
+    if width % (1 << clusters.shift):  # narrower than a cluster, or cutting one
+        with pytest.raises(ValueError):
+            mark_pair_secants(CoverageMap(PG24, width, min(64, 2 * width)), t, codes, clusters)
+        return
     pairs = landed = 0
     for lo in range(0, 64, width):
         hi = min(64, lo + width)
@@ -150,8 +160,21 @@ def test_cluster_bits_checked(hyperoval):
         SecantClusters(t, hyperoval.codes(), PG24, PG24.code_bits + 1)
 
 
+def test_window_must_hold_whole_clusters(hyperoval):
+    codes = hyperoval.codes()
+    t = multiples_table(codes, PG24)
+    clusters = SecantClusters(t, codes, PG24, 2)  # clusters of 16 codes
+    with pytest.raises(ValueError):  # misaligned
+        mark_pair_secants(CoverageMap(PG24, 8, 24), t, codes, clusters)
+    with pytest.raises(ValueError):  # narrower than its clusters
+        mark_pair_secants(CoverageMap(PG24, 16, 24), t, codes, clusters)
+    with pytest.raises(ValueError):  # clustered for its own width, still misaligned
+        mark_pair_secants(CoverageMap(PG24, 8, 24), t, codes)
+    assert mark_pair_secants(CoverageMap(PG24, 16, 48), t, codes, clusters)[1] > 0
+
+
 def test_marked_codes_reads_a_range():
-    cov = CoverageMap(PG24, lo=5, hi=50)
+    cov = CoverageMap(PG24)
     assert cov.mark_codes(np.array([5, 12, 13, 40, 49], dtype=np.uint64)) == 5
     assert cov.marked_codes(5, 50).tolist() == [5, 12, 13, 40, 49]
     assert cov.marked_codes(13, 41).tolist() == [13, 40]
@@ -176,8 +199,9 @@ def _secant_flags(t: np.ndarray, codes: np.ndarray, span: int) -> np.ndarray:
 
 
 def _windows(span: int, shards: int) -> list[tuple[int, int]]:
-    width = -(-span // shards)
-    return [(lo, min(span, lo + width)) for lo in range(0, span, width)]
+    """The windows check_split runs for `shards`: the next power of two of them."""
+    width = span >> min(span.bit_length() - 1, (shards - 1).bit_length())
+    return [(lo, lo + width) for lo in range(0, span, width)]
 
 
 @pytest.mark.parametrize("stage_bits", [20, 6, 2])
@@ -190,7 +214,7 @@ def _windows(span: int, shards: int) -> list[tuple[int, int]]:
         _windows(1 << 15, 3),
         _windows(1 << 15, 7),
         _windows(1 << 15, 100),
-        [(0, 13), (13, 1001), (1001, 4099), (4099, 1 << 15)],  # lo not a multiple of 8
+        _windows(1 << 15, 1 << 13),  # 4-code windows: lo not a multiple of 8
     ],
     ids=["full", "4", "16", "3", "7", "100", "odd-lo"],
 )
