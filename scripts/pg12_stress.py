@@ -20,44 +20,34 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from capcheck import Geometry, check_split, parse_cap, random_cap, validate_cap
+from capcheck.cli import positive_int
 
 
-@dataclass(frozen=True)
-class StressConfig:
-    cap_file: str | None
-    size: int
-    seed: int
-    shards: int
-    workers: int
-
-
-def parse_args(argv: list[str] | None = None) -> StressConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cap-file", default=None, metavar="path")
     ap.add_argument("--size", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--shards", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=1)
-    ns = ap.parse_args(argv)
-    return StressConfig(ns.cap_file, ns.size, ns.seed, ns.shards, ns.workers)
+    ap.add_argument("--shards", type=positive_int, default=1)
+    ap.add_argument("--workers", type=positive_int, default=1)
+    return ap.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     g = Geometry(12, 4)
     t0 = time.perf_counter()
-    if cfg.cap_file:
-        c = parse_cap(Path(cfg.cap_file).read_text(), g)
-        print(f"loaded {c.n} points from {cfg.cap_file}")
+    if args.cap_file:
+        c = parse_cap(Path(args.cap_file).read_text(), g)
+        print(f"loaded {c.n} points from {args.cap_file}")
     else:
-        c = random_cap(g, cfg.size, cfg.seed)
-        print(f"grew a {c.n}-point cap (seed {cfg.seed}) in {time.perf_counter() - t0:.1f}s")
+        c = random_cap(g, args.size, args.seed)
+        print(f"grew a {c.n}-point cap (seed {args.seed}) in {time.perf_counter() - t0:.1f}s")
 
-    rep = check_split(c, cfg.shards, cfg.workers)
+    rep = check_split(c, args.shards, args.workers)
     if not rep.is_cap:
         print(f"not a cap: {validate_cap(c)}")
         return 2

@@ -14,54 +14,43 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from capcheck import Cap, Geometry, greedy_extend, write_cap
+from capcheck.cli import geometry_arg, positive_int
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    r: int
-    q: int
-    seeds: int
-    start: int
-    best_out: str | None
-
-
-def parse_args(argv: list[str] | None = None) -> SearchConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--geometry", required=True, metavar="r,q")
-    ap.add_argument("--seeds", type=int, default=1000)
+    ap.add_argument("--geometry", type=geometry_arg, required=True, metavar="r,q")
+    ap.add_argument("--seeds", type=positive_int, default=1000)
     ap.add_argument("--start", type=int, default=0, help="first seed (default 0)")
     ap.add_argument("--best-out", default=None, metavar="path")
-    ns = ap.parse_args(argv)
-    r, q = (int(t) for t in ns.geometry.split(","))
-    return SearchConfig(r, q, ns.seeds, ns.start, ns.best_out)
+    return ap.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
-    g = Geometry(cfg.r, cfg.q)
+    args = parse_args(argv)
+    g = Geometry(*args.geometry)
     empty = Cap(g, ())
     sizes: Counter[int] = Counter()
     best: Cap | None = None
     best_seed = -1
     t0 = time.perf_counter()
-    for seed in range(cfg.start, cfg.start + cfg.seeds):
+    for seed in range(args.start, args.start + args.seeds):
         c = greedy_extend(empty, order_seed=seed)
         sizes[c.n] += 1
         if best is None or c.n > best.n:
             best, best_seed = c, seed
     elapsed = time.perf_counter() - t0
 
-    print(f"{g.label}: {cfg.seeds} greedy runs in {elapsed:.1f}s")
+    print(f"{g.label}: {args.seeds} greedy runs in {elapsed:.1f}s")
     for size in sorted(sizes):
         print(f"  n={size:<4} x{sizes[size]}")
     print(f"best: n={best.n} at seed {best_seed}")
-    if cfg.best_out:
-        Path(cfg.best_out).write_text(write_cap(best, header=True))
-        print(f"wrote {cfg.best_out}")
+    if args.best_out:
+        Path(args.best_out).write_text(write_cap(best, header=True))
+        print(f"wrote {args.best_out}")
     return 0
 
 

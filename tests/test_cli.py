@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 
 import pytest
 
@@ -362,44 +361,6 @@ def test_quantum_wrong_field(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def test_bench_json_rows(oval_file, frame4_file, capsys):
-    code, out, _ = run_cli(
-        ["bench", "--geometry", "2,4", "--format", "json", oval_file, frame4_file],
-        capsys,
-    )
-    assert code == 0
-    rows = json.loads(out)
-    assert len(rows) == 4
-    assert [row["algorithm"] for row in rows] == ["fast", "naive", "fast", "naive"]
-    for row in rows:
-        assert set(row) == {
-            "n",
-            "algorithm",
-            "elapsed_ms",
-            "peak_coverage_bytes",
-            "pairs_processed",
-        }
-        assert row["pairs_processed"] == row["n"] * (row["n"] - 1) // 2
-    assert rows[0]["peak_coverage_bytes"] == math.ceil(64 / 8)
-    assert rows[1]["peak_coverage_bytes"] == 21
-
-
-def test_bench_human_table(oval_file, capsys):
-    code, out, _ = run_cli(["bench", "--geometry", "2,4", oval_file], capsys)
-    assert code == 0
-    assert "algorithm" in out.splitlines()[0]
-    assert "naive/fast ratio" in out
-
-
-def test_bench_non_cap(bad_file, capsys):
-    assert run_cli(["bench", "--geometry", "2,4", bad_file], capsys)[0] == 2
-
-
-# ---------------------------------------------------------------------------
 # usage and configuration errors
 # ---------------------------------------------------------------------------
 
@@ -413,10 +374,20 @@ def test_bench_non_cap(bad_file, capsys):
         ["check", "--geometry", "2,4", "--algorithm", "magic", "x.txt"],
         ["frobnicate", "--geometry", "2,4"],
         ["check", "--geometry", "2,4", "--frobnicate", "x.txt"],
+        # these read a complete cap from stdin, so only the option can fail
+        ["check", "--geometry", "2,4", "--shards", "0"],
+        ["check", "--geometry", "2,4", "--shards", "-3"],
+        ["check", "--geometry", "2,4", "--workers", "0"],
     ],
 )
-def test_usage_errors_exit_3(argv, capsys):
-    assert run_cli(argv, capsys)[0] == 3
+def test_usage_errors_exit_3(argv, capsys, monkeypatch, hyperoval):
+    assert run_cli(argv, capsys, monkeypatch, stdin=write_cap(hyperoval))[0] == 3
+
+
+def test_bench_is_not_a_command(oval_file, capsys):
+    code, _, err = run_cli(["bench", "--geometry", "2,4", oval_file], capsys)
+    assert code == 3
+    assert "invalid choice: 'bench'" in err
 
 
 def test_unsupported_geometry_exits_3(oval_file, capsys):

@@ -6,13 +6,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _load(name: str, monkeypatch):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)  # its dataclasses look it up there
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -23,3 +25,20 @@ def test_search_caps_runs(monkeypatch, capsys):
     assert lines[0].startswith("PG(2,4): 5 greedy runs in ")
     assert lines[-1].startswith("best: n=6 at seed ")
 
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("search_caps", ["--geometry", "3"], "expected r,q but got '3'"),
+        ("search_caps", ["--geometry", "2,4", "--seeds", "0"],
+         "expected a positive integer but got '0'"),
+        ("pg12_stress", ["--shards", "0"], "expected a positive integer but got '0'"),
+    ],
+)
+def test_script_usage_errors(script, argv, message, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load(script, monkeypatch).main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
