@@ -34,7 +34,6 @@ from .errors import (
     GeometryTooLargeError,
     InvalidCapError,
     InvariantError,
-    LengthMismatchError,
     OutOfRangeError,
     ReduciblePolynomialError,
     SamePointError,
@@ -65,7 +64,6 @@ from .quantum import (
     check_hyperplane_parity,
     check_self_orthogonal,
     check_weights_even,
-    hermitian_inner,
     matrix_rank,
     verify_quantum_cap,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "GeometryTooLargeError",
     "InvalidCapError",
     "InvariantError",
-    "LengthMismatchError",
     "OutOfRangeError",
     "QuantumVerdict",
     "ReduciblePolynomialError",
@@ -113,7 +110,6 @@ __all__ = [
     "encode_point",
     "enumerate_points",
     "greedy_extend",
-    "hermitian_inner",
     "index_of_point",
     "is_irreducible",
     "is_normalized",

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coverage import CoverageMap, covered_codes, mark_pair_secants, multiples_table
+from .coverage import CoverageMap, check_secant_counts, covered_codes, mark_pair_secants, multiples_table
 from .errors import (
     BadCoordinateError,
     CapTooLargeError,
@@ -213,7 +213,7 @@ def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
     codes = c.codes()
     cov = CoverageMap(g)
     mult = multiples_table(codes, g)
-    mark_pair_secants(cov, mult, codes)
+    check_secant_counts(c.n, g.q, *mark_pair_secants(cov, mult, codes))
     hit = covered_codes(cov, codes, g)
     if not hit.any():
         return cov, None

@@ -202,6 +202,8 @@ def _run_check(c: Cap, args: argparse.Namespace) -> CompletenessReport:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.algorithm != "fast" and (args.shards > 1 or args.workers > 1):
+        raise ValueError(f"--shards and --workers need --algorithm fast, not {args.algorithm}")
     c = _load_cap(args)
     rep = _run_check(c, args)
     if args.validate and not rep.is_cap:

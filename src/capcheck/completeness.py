@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cap import Cap
-from .coverage import CoverageMap, SecantClusters, mark_pair_secants, multiples_table
-from .errors import CapTooLargeError, GeometryTooLargeError, InvariantError
+from .coverage import CoverageMap, SecantClusters, check_secant_counts, mark_pair_secants, multiples_table
+from .errors import CapTooLargeError, GeometryTooLargeError
 from .geometry import (
     Geometry,
     enumerate_points,
@@ -175,14 +175,9 @@ def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(run_window, windows))
-    pairs = c.n * (c.n - 1) // 2
-    counted = sum(p for p, _ in counts)
+    pairs = sum(p for p, _ in counts)
     marks = sum(m for _, m in counts)
-    if (counted, marks) != (pairs, pairs * (g.q - 1)):
-        raise InvariantError(
-            f"windows landed {marks} marks from {counted} pairs; "
-            f"expected {pairs * (g.q - 1)} from {pairs}"
-        )
+    check_secant_counts(c.n, g.q, pairs, marks)
     # a cap point on a secant makes a collinear triple; cap points are never uncovered
     cap_idx = np.array([index_of_point(p, g) for p in c.points], dtype=np.intp)
     is_cap = not covered[cap_idx].any()

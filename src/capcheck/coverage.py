@@ -237,6 +237,20 @@ def mark_pair_secants(
     return pairs, landed
 
 
+def check_secant_counts(n: int, q: int, pairs: int, landed: int) -> None:
+    """Raise InvariantError unless an n-cap's secant marking is whole.
+
+    Its windows together formed each of the n(n-1)/2 pairs once and
+    landed q-1 marks for each.
+    """
+    expect = n * (n - 1) // 2
+    if (pairs, landed) != (expect, expect * (q - 1)):
+        raise InvariantError(
+            f"windows landed {landed} marks from {pairs} pairs; "
+            f"expected {expect * (q - 1)} from {expect}"
+        )
+
+
 def _staircase(mv: np.ndarray, mi: np.ndarray, cv: np.ndarray, ci: np.ndarray) -> Iterator[np.ndarray]:
     """The codes mv[e] ^ cv[c] with ci[c] > mi[e], in pieces; mi and ci ascend.
 

@@ -65,9 +65,5 @@ class CapTooLargeError(CapcheckError):
     """Cap has more points than the geometry it claims to live in."""
 
 
-class LengthMismatchError(CapcheckError):
-    """Vectors of different lengths in an inner product."""
-
-
 class InvariantError(CapcheckError):
     """An internal consistency check failed: a bug in capcheck, not bad input."""

@@ -1,24 +1,27 @@
 """Quantum-cap conditions for caps over GF(4).
 
 A spanning cap whose point matrix has pairwise Hermitian-orthogonal
-rows is a quantum cap.  Two rephrasings of the orthogonality condition
-are implemented as independent cross-checks: every hyperplane meets
-the cap in the parity of its size, and every codeword of the row space
-has even weight.  verify_quantum_cap computes whichever are feasible
-and refuses to return if they disagree.
+rows is a quantum cap (Tonchev, "Quantum codes from caps", Discrete
+Math. 2008).  Two rephrasings of the orthogonality condition are
+implemented as independent cross-checks: every hyperplane meets the
+cap in the parity of its size, and every codeword of the row space has
+even weight.  Each condition takes one CapMatrix, which refuses every
+field but GF(4), and reads its products from the field's product
+table.  verify_quantum_cap decodes the cap once, computes whichever
+rephrasings fit their enumeration bounds, and raises InvariantError if
+they disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
 from .cap import Cap
-from .errors import GeometryTooLargeError, LengthMismatchError, UnsupportedFieldError
-from .field import FieldTable
-from .geometry import Geometry, decode_point, points_by_index
+from .errors import GeometryTooLargeError, InvariantError, UnsupportedFieldError
+from .geometry import Geometry, points_by_index
 
 HYPERPLANE_LIMIT = 100_000  # max hyperplanes for the parity check
 WEIGHT_LIMIT = 1 << 18  # max codewords for the even-weight check
@@ -27,33 +30,23 @@ _DUAL_CHUNK = 1 << 12
 
 @dataclass(frozen=True)
 class CapMatrix:
-    """Cap points as columns of an (r+1) x n matrix of field values."""
+    """Cap points as columns of an (r+1) x n integer matrix over GF(4)."""
 
     geometry: Geometry
     array: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.geometry.q != 4:
+            raise UnsupportedFieldError(f"quantum caps live over GF(4), not GF({self.geometry.q})")
+
     @classmethod
     def from_cap(cls, c: Cap) -> "CapMatrix":
-        g = c.geometry
-        dtype = np.uint8 if g.q <= 256 else np.uint32
-        if c.n == 0:
-            return cls(g, np.zeros((g.r + 1, 0), dtype=dtype))
-        cols = np.array([decode_point(p, g) for p in c.points], dtype=dtype)
-        return cls(g, cols.T.copy())
+        cols = np.array(c.coordinates(), dtype=np.intp).reshape(c.n, c.geometry.r + 1)
+        return cls(c.geometry, cols.T.copy())
 
     @property
     def n(self) -> int:
         return int(self.array.shape[1])
-
-
-def hermitian_inner(x: Sequence[int], y: Sequence[int], f: FieldTable) -> int:
-    """Sum of x_i * (y_i squared); squaring is conjugation over GF(4)."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"vector lengths {len(x)} and {len(y)} differ")
-    acc = 0
-    for a, b in zip(x, y):
-        acc ^= f.mul(a, f.square(b))
-    return acc
 
 
 def matrix_rank(mat: CapMatrix) -> int:
@@ -79,68 +72,44 @@ def matrix_rank(mat: CapMatrix) -> int:
 
 
 def check_self_orthogonal(mat: CapMatrix) -> bool:
-    """True iff every pair of rows, self-pairs included, is Hermitian-orthogonal."""
-    g = mat.geometry
-    f = g.field
-    nrows = g.r + 1
-    if f.mul_array is not None and mat.n:
-        sq = np.array([f.square(a) for a in range(g.q)], dtype=np.intp)
-        rows = mat.array.astype(np.intp)
-        for i in range(nrows):
-            for j in range(i, nrows):
-                prod = f.mul_array[rows[i], sq[rows[j]]]
-                if np.bitwise_xor.reduce(prod) != 0:
-                    return False
-        return True
-    rows_list = mat.array.tolist()
+    """True iff every pair of rows, self-pairs included, is Hermitian-orthogonal.
+
+    The Hermitian form is the sum of x_i * conj(y_i); conjugation over
+    GF(4) is squaring, the diagonal of the product table.
+    """
+    mul = mat.geometry.field.mul_array
+    rows = mat.array
+    conj = mul.diagonal()[rows]
+    nrows = rows.shape[0]
     for i in range(nrows):
         for j in range(i, nrows):
-            if hermitian_inner(rows_list[i], rows_list[j], f):
+            if np.bitwise_xor.reduce(mul[rows[i], conj[j]]) != 0:
                 return False
     return True
 
 
-def check_hyperplane_parity(c: Cap) -> bool:
+def check_hyperplane_parity(mat: CapMatrix) -> bool:
     """True iff every hyperplane meets the cap in |cap| mod 2 points.
 
     Hyperplanes are enumerated once each through their normalized dual
     points d, as the zero sets of x -> sum d_i x_i.
     """
-    g = c.geometry
+    g = mat.geometry
     if g.point_count > HYPERPLANE_LIMIT:
         raise GeometryTooLargeError(
             f"{g.label} has {g.point_count} hyperplanes; parity check limit is {HYPERPLANE_LIMIT}"
         )
-    f = g.field
-    parity = c.n & 1
-    coords = np.array(
-        [decode_point(p, g) for p in c.points], dtype=np.intp
-    ) if c.n else np.zeros((0, g.r + 1), dtype=np.intp)
-    if f.mul_array is None:
-        from .geometry import enumerate_points
-
-        rows = coords.tolist()
-        for d in enumerate_points(g):
-            dc = decode_point(d, g)
-            hits = 0
-            for row in rows:
-                acc = 0
-                for a, b in zip(dc, row):
-                    acc ^= f.mul(a, b)
-                if acc == 0:
-                    hits += 1
-            if hits & 1 != parity:
-                return False
-        return True
+    mul = g.field.mul_array
+    parity = mat.n & 1
     shifts = [g.k * (g.r - i) for i in range(g.r + 1)]
     mask = np.uint64(g.q - 1)
     for lo in range(0, g.point_count, _DUAL_CHUNK):
         hi = min(g.point_count, lo + _DUAL_CHUNK)
         duals = points_by_index(np.arange(lo, hi, dtype=np.uint64), g)
-        acc = np.zeros((hi - lo, c.n), dtype=np.uint64)
+        acc = np.zeros((hi - lo, mat.n), dtype=mul.dtype)
         for i, shift in enumerate(shifts):
             dcol = ((duals >> np.uint64(shift)) & mask).astype(np.intp)
-            acc ^= f.mul_array[dcol[:, None], coords[None, :, i]]
+            acc ^= mul[dcol[:, None], mat.array[i][None, :]]
         hits = (acc == 0).sum(axis=1)
         if ((hits & 1) != parity).any():
             return False
@@ -159,13 +128,12 @@ def check_weights_even(mat: CapMatrix) -> bool:
         raise GeometryTooLargeError(
             f"{g.label} needs {g.code_span} codewords; even-weight limit is {WEIGHT_LIMIT}"
         )
-    f = g.field
+    mul = g.field.mul_array
     odd = np.zeros(g.code_span, dtype=bool)
     for col in mat.array.T.tolist():
-        v = np.zeros(1, dtype=np.uint32)
+        v = np.zeros(1, dtype=mul.dtype)
         for e in col:
-            mults = np.array([f.mul(a, e) for a in range(g.q)], dtype=np.uint32)
-            v = (mults[:, None] ^ v[None, :]).ravel()
+            v = (mul[:, e, None] ^ v[None, :]).ravel()
         odd ^= v != 0
     return not odd.any()
 
@@ -179,13 +147,7 @@ class QuantumVerdict:
     is_quantum_cap: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "spans_space": self.spans_space,
-            "hermitian_self_orthogonal": self.hermitian_self_orthogonal,
-            "hyperplane_parity_ok": self.hyperplane_parity_ok,
-            "all_weights_even": self.all_weights_even,
-            "is_quantum_cap": self.is_quantum_cap,
-        }
+        return asdict(self)
 
 
 def verify_quantum_cap(c: Cap) -> QuantumVerdict:
@@ -196,19 +158,15 @@ def verify_quantum_cap(c: Cap) -> QuantumVerdict:
     enumerations fit, and any disagreement is raised rather than
     reported, since the three are provably the same predicate.
     """
-    g = c.geometry
-    if g.q != 4:
-        raise UnsupportedFieldError(f"quantum caps live over GF(4), not GF({g.q})")
     mat = CapMatrix.from_cap(c)
+    g = mat.geometry
     orthogonal = check_self_orthogonal(mat)
     spans = matrix_rank(mat) == g.r + 1
-    parity = (
-        check_hyperplane_parity(c) if g.point_count <= HYPERPLANE_LIMIT else None
-    )
+    parity = check_hyperplane_parity(mat) if g.point_count <= HYPERPLANE_LIMIT else None
     weights = check_weights_even(mat) if g.code_span <= WEIGHT_LIMIT else None
     computed = {flag for flag in (orthogonal, parity, weights) if flag is not None}
     if len(computed) > 1:
-        raise RuntimeError(
+        raise InvariantError(
             "equivalent quantum-cap conditions disagree: "
             f"orthogonal={orthogonal} parity={parity} weights={weights}"
         )

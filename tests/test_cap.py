@@ -16,6 +16,7 @@ from capcheck import (
     Geometry,
     GeometryMismatchError,
     InvalidCapError,
+    InvariantError,
     OutOfRangeError,
     WrongArityError,
     ZeroVectorError,
@@ -235,6 +236,24 @@ def test_greedy_deterministic_and_extending(frame3):
 def test_greedy_rejects_non_cap():
     with pytest.raises(InvalidCapError):
         greedy_extend(Cap(PG24, (1, 16, 17)), order_seed=0)
+
+
+@pytest.mark.parametrize("under", [(1, 0), (0, 1)])
+def test_secant_map_checks_its_counts(hyperoval, monkeypatch, under):
+    """Validation and growth check the (pairs, marks) of their secant map."""
+    import capcheck.cap as cap_mod
+
+    mark = cap_mod.mark_pair_secants
+
+    def short(*args):
+        pairs, landed = mark(*args)
+        return pairs - under[0], landed - under[1]
+
+    monkeypatch.setattr(cap_mod, "mark_pair_secants", short)
+    with pytest.raises(InvariantError, match="windows landed"):
+        validate_cap(hyperoval)
+    with pytest.raises(InvariantError, match="windows landed"):
+        greedy_extend(hyperoval, order_seed=0)
 
 
 def test_random_cap_deterministic():

@@ -378,6 +378,11 @@ def test_quantum_wrong_field(tmp_path, capsys):
         ["check", "--geometry", "2,4", "--shards", "0"],
         ["check", "--geometry", "2,4", "--shards", "-3"],
         ["check", "--geometry", "2,4", "--workers", "0"],
+        # shards and workers apply only to the fast checker
+        ["check", "--geometry", "2,4", "--algorithm", "naive", "--shards", "4"],
+        ["check", "--geometry", "2,4", "--algorithm", "naive", "--workers", "2"],
+        ["check", "--geometry", "2,4", "--algorithm", "oracle", "--shards", "4"],
+        ["check", "--geometry", "2,4", "--algorithm", "oracle", "--workers", "2"],
     ],
 )
 def test_usage_errors_exit_3(argv, capsys, monkeypatch, hyperoval):

@@ -6,15 +6,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from capcheck import (
     Cap,
     CapMatrix,
     Geometry,
     GeometryTooLargeError,
-    LengthMismatchError,
+    InvariantError,
     UnsupportedFieldError,
     build_field,
     check_hyperplane_parity,
@@ -23,51 +21,12 @@ from capcheck import (
     decode_point,
     encode_point,
     enumerate_points,
-    hermitian_inner,
     matrix_rank,
     verify_quantum_cap,
 )
 from oracles import RefField
 
 F4 = build_field(2)
-gf4_vec = st.lists(st.integers(0, 3), min_size=0, max_size=8)
-
-
-# ---------------------------------------------------------------------------
-# Hermitian form
-# ---------------------------------------------------------------------------
-
-
-def test_hermitian_examples():
-    assert hermitian_inner((1, 2, 3), (0, 0, 0), F4) == 0
-    assert hermitian_inner((2,), (2,), F4) == 1  # 2 * conj(2) = 2 * 3
-    assert hermitian_inner((1, 2), (2, 1), F4) == 3 ^ 2
-
-
-def test_hermitian_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        hermitian_inner((1, 2), (1,), F4)
-
-
-@given(gf4_vec)
-def test_hermitian_self_inner_is_parity(x):
-    # a * conj(a) = a^3 = 1 for nonzero a, so <x,x> counts nonzeros mod 2
-    expect = sum(1 for a in x if a) & 1
-    assert hermitian_inner(x, x, F4) == expect
-
-
-@given(gf4_vec, gf4_vec)
-def test_hermitian_conjugate_symmetry(x, y):
-    if len(x) != len(y):
-        x, y = x[: len(y)], y[: len(x)]
-    assert hermitian_inner(y, x, F4) == F4.square(hermitian_inner(x, y, F4))
-
-
-@given(gf4_vec, st.integers(0, 3))
-def test_hermitian_left_linear(x, alpha):
-    y = x[::-1]
-    scaled = [F4.mul(alpha, a) for a in x]
-    assert hermitian_inner(scaled, y, F4) == F4.mul(alpha, hermitian_inner(x, y, F4))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +83,10 @@ def test_self_orthogonal_anchors(hyperoval, frame3):
 
 
 def test_hyperplane_parity_anchors(hyperoval, frame3, arc5, pg24):
-    assert check_hyperplane_parity(hyperoval)
-    assert not check_hyperplane_parity(frame3)
-    assert not check_hyperplane_parity(arc5[0])
-    assert check_hyperplane_parity(Cap(pg24, ()))
+    assert check_hyperplane_parity(CapMatrix.from_cap(hyperoval))
+    assert not check_hyperplane_parity(CapMatrix.from_cap(frame3))
+    assert not check_hyperplane_parity(CapMatrix.from_cap(arc5[0]))
+    assert check_hyperplane_parity(CapMatrix.from_cap(Cap(pg24, ())))
 
 
 def test_hyperoval_meets_every_line_evenly(hyperoval, pg24):
@@ -148,19 +107,7 @@ def test_hyperplane_parity_refuses_large_geometry():
     g = Geometry(12, 4)
     pts = [encode_point([0] * i + [1] + [0] * (12 - i), g) for i in range(3)]
     with pytest.raises(GeometryTooLargeError):
-        check_hyperplane_parity(Cap(g, tuple(sorted(pts))))
-
-
-def test_hyperplane_parity_tableless_field():
-    """k > 8 has no multiplication array; the scalar path must serve.
-
-    The cap {(1,2), (1,3)} is hit once by the hyperplane dual to
-    (1, inv(2)), so the verdict is False; getting that right requires
-    summing the products, not testing them individually.
-    """
-    g = Geometry(1, 512)
-    assert check_hyperplane_parity(Cap(g, (514, 515))) is False
-    assert check_hyperplane_parity(Cap(g, ())) is True
+        check_hyperplane_parity(CapMatrix.from_cap(Cap(g, tuple(sorted(pts)))))
 
 
 def test_weights_even_anchors(hyperoval, frame3, pg24):
@@ -235,19 +182,37 @@ def test_non_spanning_cap_is_not_quantum(hyperoval, pg34):
 
 
 def test_quantum_requires_gf4(pg22):
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(UnsupportedFieldError, match=r"GF\(4\), not GF\(2\)"):
         verify_quantum_cap(Cap(pg22, (4, 2, 1)))
+
+
+@pytest.mark.parametrize("r, q", [(2, 2), (3, 8), (1, 512)])
+def test_cap_matrix_requires_gf4(r, q):
+    """Every condition takes a CapMatrix, so this one check guards them all."""
+    g = Geometry(r, q)
+    with pytest.raises(UnsupportedFieldError, match=rf"not GF\({q}\)"):
+        CapMatrix(g, np.zeros((r + 1, 2), dtype=np.intp))
+    with pytest.raises(UnsupportedFieldError):
+        CapMatrix.from_cap(Cap(g, (1, 1 << g.k)))
 
 
 def test_verdict_json_shape(hyperoval):
     d = verify_quantum_cap(hyperoval).to_json_dict()
-    assert set(d) == {
+    assert list(d) == [
         "spans_space",
         "hermitian_self_orthogonal",
         "hyperplane_parity_ok",
         "all_weights_even",
         "is_quantum_cap",
-    }
+    ]
+
+
+def test_disagreeing_conditions_raise(hyperoval, monkeypatch):
+    import capcheck.quantum as quantum_mod
+
+    monkeypatch.setattr(quantum_mod, "check_weights_even", lambda mat: False)
+    with pytest.raises(InvariantError, match="disagree"):
+        verify_quantum_cap(hyperoval)
 
 
 def test_three_conditions_agree_on_corpus(corpus):
@@ -257,7 +222,7 @@ def test_three_conditions_agree_on_corpus(corpus):
         c = entry.cap
         if c.geometry.q != 4:
             continue
-        v = verify_quantum_cap(c)  # raises RuntimeError on any disagreement
+        v = verify_quantum_cap(c)  # raises InvariantError on any disagreement
         assert v.hyperplane_parity_ok is not None
         assert v.all_weights_even is not None
         assert (
