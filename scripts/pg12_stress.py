@@ -8,7 +8,8 @@ The coverage windows bound the bit-map memory: with --shards 32
 --workers 4 the bit-maps alive at any moment total 1 MiB instead of the
 full 8 MiB, next to one 1 MiB marking stage per worker.  The per-point
 covered flags (22 MB) are not split.  Each window forms only its own
-secant codes, so the shard count costs little time.  Examples:
+secant codes, so the shard count costs little time.  Growing the cap
+holds a byte per code (64 MiB) until it is complete.  Examples:
 
     python3 scripts/pg12_stress.py --size 10000
     python3 scripts/pg12_stress.py --cap-file cap12.txt --shards 32 --workers 4

@@ -22,7 +22,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .coverage import CoverageMap, check_secant_counts, covered_codes, mark_pair_secants, multiples_table
+from .coverage import (
+    ByteMap,
+    CoverageMap,
+    check_secant_counts,
+    covered_codes,
+    mark_pair_secants,
+    multiples_table,
+)
 from .errors import (
     BadCoordinateError,
     CapTooLargeError,
@@ -252,6 +259,9 @@ def _validate_scalar(c: Cap) -> CapViolation | None:
 # greedy growth
 # ---------------------------------------------------------------------------
 
+# candidates tested per vector step; the scan order does not depend on it
+_GROW_CHUNK = 1 << 14
+
 
 def _lcg_chunks(m: int, seed: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     """Seeded pseudorandom permutation of range(m), in vector chunks.
@@ -298,16 +308,16 @@ def _lcg_jumps(a: int, cadd: int, big: int, size: int) -> tuple[np.ndarray, np.n
 
 
 def _grow_greedily(
-    cov: CoverageMap, start: Sequence[int], seed: int, limit: int | None = None
+    grow: ByteMap, start: Sequence[int], seed: int, limit: int | None = None
 ) -> list[int]:
     """Extend a cap by scanning candidates in seeded permutation order.
 
     A point is added exactly when it lies on no secant of the current
-    cap (cov starts with those of `start`), i.e. when none of its scalar
-    multiples is marked.  One pass suffices: coverage only grows, so
-    every skipped point stays covered.
+    cap (grow starts with those of `start`), i.e. when none of its
+    scalar multiples is marked.  One pass suffices: coverage only grows,
+    so every skipped point stays covered.
     """
-    g = cov.geometry
+    g = grow.geometry
     n = len(start)
     if limit is not None and n >= limit:
         return list(start)
@@ -315,20 +325,19 @@ def _grow_greedily(
     buf = np.empty(max(64, 2 * n), dtype=np.uint64)  # the cap so far, doubled when full
     buf[:n] = start
     nonzero = list(g.field.nonzero_elements())
-    for idx in _lcg_chunks(g.point_count, seed):
+    for idx in _lcg_chunks(g.point_count, seed, _GROW_CHUNK):
         codes = points_by_index(idx, g)
-        covered = covered_codes(cov, codes, g)
+        covered = covered_codes(grow, codes, g)
         if covered.all():
             continue
-        for code in codes[~covered]:
-            code = int(code)
+        for code in codes[~covered].tolist():
             if code in capset:
                 continue
-            reps = [scalar_mul_point(alpha, code, g) for alpha in nonzero]
-            if any(cov.get(rep) for rep in reps):  # bits may have moved within the chunk
+            reps = np.array([scalar_mul_point(alpha, code, g) for alpha in nonzero], dtype=np.uint64)
+            if grow.test_codes(reps).any():  # marks may have landed within the chunk
                 continue
             if n:
-                cov.mark_codes((np.array(reps, dtype=np.uint64)[:, None] ^ buf[None, :n]).ravel())
+                grow.mark_codes((reps[:, None] ^ buf[None, :n]).ravel())
             if n == buf.size:
                 buf = np.concatenate((buf, np.empty_like(buf)))
             buf[n] = code
@@ -342,15 +351,21 @@ def _grow_greedily(
 def greedy_extend(c: Cap, order_seed: int) -> Cap:
     """Complete cap containing c, deterministic for a given (c, seed).
 
-    Validates c on the map of its secants, then grows from that map.
+    Validates c on the bit-map of its secants, then grows on a byte per
+    code unpacked from it.  Refuses a geometry whose byte map is past
+    the bound before building either map.
     """
-    cov, witness = _secant_map(c) if c.n >= 2 else (CoverageMap(c.geometry), None)
+    g = c.geometry
+    ByteMap.require_fits(g)
+    cov, witness = _secant_map(c) if c.n >= 2 else (CoverageMap(g), None)
     if witness is not None:
         raise InvalidCapError(str(witness))
-    return Cap(c.geometry, tuple(_grow_greedily(cov, c.points, order_seed)))
+    grow = ByteMap(g, cov)
+    del cov  # growth reads only the byte map
+    return Cap(g, tuple(_grow_greedily(grow, c.points, order_seed)))
 
 
 def random_cap(g: Geometry, size: int, seed: int) -> Cap:
     """Seed-determined cap of the requested size (smaller only if the
     greedy pass completes first)."""
-    return Cap(g, tuple(_grow_greedily(CoverageMap(g), (), seed, limit=size)))
+    return Cap(g, tuple(_grow_greedily(ByteMap(g), (), seed, limit=size)))

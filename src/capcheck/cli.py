@@ -9,13 +9,15 @@ Each command reads one cap file; input `-` (the default) reads stdin.
 `check --algorithm naive --format json` reports `elapsed_ms` as the
 fast check does, to compare the two.  Exit codes: 0 success or
 complete, 1 incomplete (or not a quantum cap), 2 not a cap, 3 parse or
-usage error, 4 resource or geometry bound exceeded.
+usage error (or an unreadable input or unwritable --output), 4 resource
+or geometry bound exceeded, 141 stdout closed early (as by `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,6 +42,7 @@ EXIT_INCOMPLETE = 1
 EXIT_NOT_A_CAP = 2
 EXIT_PARSE = 3
 EXIT_BOUND = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by one
 
 WITNESS_CAP = 10
 
@@ -128,17 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+class _InputError(Exception):
+    """The input could not be read."""
+
+
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="ascii")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="ascii")
+    except OSError as exc:
+        raise _InputError(exc) from exc
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if args.output:
         Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout fails here, inside main
 
 
 def _load_cap(args: argparse.Namespace) -> Cap:
@@ -258,8 +268,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidCapError as exc:
         print(f"capcheck: not a cap: {exc}", file=sys.stderr)
         return EXIT_NOT_A_CAP
-    except OSError as exc:
+    except _InputError as exc:
         print(f"capcheck: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except OSError as exc:
+        print(f"capcheck: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -1,6 +1,6 @@
-"""Coverage bit-maps over raw point codes, and the secant marking loop.
+"""Coverage maps over raw point codes, and the secant marking loop.
 
-The map spans a window [lo, hi) of the raw code range [0, q^(r+1)) at
+A check's map spans a window [lo, hi) of the raw code range [0, q^(r+1)) at
 one bit per code, so the whole of PG(12,4) costs 4^13 bits = 8 MiB.
 A sharded check gives each window its own map.  The top bits of a
 secant code alpha*P_i ^ P_j are the XOR of the top bits of alpha*P_i
@@ -10,7 +10,8 @@ codes whose secants can land in it, and the marking work summed over
 all windows equals that of one full map.  A window holds whole
 clusters; each is stored a byte per code into a cache-sized stage,
 then packed into the window's bit-map in one pass (_Stage), the only
-way a window map is written.
+way a window map is written.  Greedy growth marks a byte per code
+instead (ByteMap): a plain store per code, at 8 times the memory.
 
 Codes reaching this module must fit in a uint64 (geometry enforces it).
 """
@@ -26,8 +27,6 @@ from .geometry import Geometry, _require_vector_support, scalar_mul_codes
 
 # refuse to allocate absurd coverage windows (2 GiB); split instead
 DEFAULT_MAX_COVERAGE_BYTES = 1 << 31
-
-_BIT = (np.uint8(1) << np.arange(8, dtype=np.uint8))
 
 # a staircase of at most this many generated codes is marked in one shot,
 # a larger one in pieces of about this size (the temporaries stay in cache)
@@ -66,17 +65,10 @@ class CoverageMap:
         return self.lo == 0 and self.hi == self.geometry.code_span
 
     def mark_codes(self, codes: np.ndarray) -> int:
-        """Set the bits of the codes; returns how many.
-
-        While mark_pair_secants has a cluster staged, the codes go into
-        its stage instead; otherwise the map must span every code.
-        """
-        if self._stage is not None:
-            return self._stage.store(codes)
-        self._require_full_span("mark_codes")
-        idx = (codes >> np.uint64(3)).astype(np.intp)
-        np.bitwise_or.at(self._bits, idx, _BIT[(codes & np.uint64(7)).astype(np.uint8)])
-        return codes.size
+        """Store the codes into the cluster mark_pair_secants has staged; returns how many."""
+        if self._stage is None:
+            raise ValueError("mark_codes needs a staged cluster; mark through mark_pair_secants")
+        return self._stage.store(codes)
 
     def test_codes(self, codes: np.ndarray) -> np.ndarray:
         """Bit values for an array of codes; the map must span every code."""
@@ -88,18 +80,49 @@ class CoverageMap:
         if not self.is_full_span:
             raise ValueError(f"{what} needs a full-span map, not the window [{self.lo}, {self.hi})")
 
-    def get(self, code: int) -> bool:
-        if not self.lo <= code < self.hi:
-            return False
-        rel = code - self.lo
-        return bool((self._bits[rel >> 3] >> (rel & 7)) & 1)
-
     def marked_codes(self, lo: int, hi: int) -> np.ndarray:
         """The marked codes in [lo, hi), ascending; [lo, hi) must lie in the window."""
         a, b = lo - self.lo, hi - self.lo
         bits = np.unpackbits(self._bits[a >> 3 : -(-b // 8)], bitorder="little")
         rel = np.flatnonzero(bits[a & 7 : (a & 7) + (b - a)])
         return rel.astype(np.uint64) + np.uint64(lo)
+
+
+class ByteMap:
+    """A byte per raw code over the whole span: the map greedy growth works on.
+
+    Marking an accepted point's secants is a plain store, a few ns a
+    code, where a bit-map needs np.bitwise_or.at or a stage.  It holds
+    8 times the bit-map's bytes: 4 MiB at PG(10,4), 64 MiB at PG(12,4).
+    """
+
+    __slots__ = ("geometry", "_marked")
+
+    def __init__(self, g: Geometry, bits: CoverageMap | None = None):
+        """Zeroed, or the marks of the full-span bit-map `bits`."""
+        self.require_fits(g)
+        self.geometry = g
+        if bits is None:
+            self._marked = np.zeros(g.code_span, dtype=bool)
+        else:
+            bits._require_full_span("ByteMap")
+            self._marked = np.unpackbits(bits._bits, count=g.code_span, bitorder="little").view(bool)
+
+    @staticmethod
+    def require_fits(g: Geometry) -> None:
+        """Raise GeometryTooLargeError, allocating nothing, unless g's byte map is within the bound."""
+        _require_vector_support(g)
+        if g.code_span > DEFAULT_MAX_COVERAGE_BYTES:
+            raise GeometryTooLargeError(
+                f"growth map needs {g.code_span} bytes, one per code (> {DEFAULT_MAX_COVERAGE_BYTES})"
+            )
+
+    def test_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Marked or not, for an array of uint64 codes."""
+        return self._marked[codes.view(np.intp)]
+
+    def mark_codes(self, codes: np.ndarray) -> None:
+        self._marked[codes.view(np.intp)] = True
 
 
 class _Stage:
@@ -271,7 +294,7 @@ def _staircase(mv: np.ndarray, mi: np.ndarray, cv: np.ndarray, ci: np.ndarray) -
             yield strip[np.arange(first, last) >= s[a:b, None]]
 
 
-def covered_codes(cov: CoverageMap, codes: np.ndarray, g: Geometry) -> np.ndarray:
+def covered_codes(cov: CoverageMap | ByteMap, codes: np.ndarray, g: Geometry) -> np.ndarray:
     """For each code, whether any of its q-1 scalar multiples is marked."""
     covered = cov.test_codes(codes)
     for alpha in range(2, g.q):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from capcheck import (
     DuplicatePointError,
     Geometry,
     GeometryMismatchError,
+    GeometryTooLargeError,
     InvalidCapError,
     InvariantError,
     OutOfRangeError,
@@ -29,7 +32,9 @@ from capcheck import (
     validate_cap,
     write_cap,
 )
+import capcheck.cap as cap_mod
 from capcheck.cap import _lcg_chunks, _lcg_jumps
+from capcheck.coverage import DEFAULT_MAX_COVERAGE_BYTES
 from oracles import RefField, find_collinear_triple
 
 PG24 = Geometry(2, 4)
@@ -254,6 +259,54 @@ def test_secant_map_checks_its_counts(hyperoval, monkeypatch, under):
         validate_cap(hyperoval)
     with pytest.raises(InvariantError, match="windows landed"):
         greedy_extend(hyperoval, order_seed=0)
+
+
+# seed -> sha256 of write_cap(c, "packed") and size of random_cap(PG(5,4), 200, seed),
+# then of greedy_extend(its first 10 points, seed + 100) and of its first point;
+# computed on the bit-map growth that preceded the byte map
+GROWN_PG54 = {
+    0: [(70, "9a0820df3d94ced33a427b3271541b9cd2d92709531f2b01f351fbccc2ff634c"),
+        (74, "f56f3fe33729571b63d339f9ae13ea5ea12e6f159514ad6101518231e3fce015"),
+        (66, "50a05a5a5bcd572c8536ecad5f00726326b6ef6089c3aecdf4cdcb02d106b4a3")],
+    1: [(70, "2467830f222ed0c0a72c6bff7e9c6cfafbdf872b0e1a98da1a9a4eb901fdfd25"),
+        (70, "94d2ac730f7c9ab2c1ee62bfd9624bff2b61bb1cff7437abe916831c0b0543d8"),
+        (65, "c415f1065dc4d04b1fcca053cf93bdc2832c4898d2660c73474e916e6b89effd")],
+    2: [(66, "03a0c918df7649a6ad83a20b2d7c4ef5295f9f78cb9d6692e28df03ceeac07d8"),
+        (66, "b6e96d0da1737d736fe7189e7c806458688a227177970322543ff295e5fdf15f"),
+        (69, "0cf83d2913c27f7a5287b73ae2f2b29f010ae05b6b60e5287d7667e41079b055")],
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 4, 1 << 16], ids=["default", "2^4", "2^16"])
+@pytest.mark.parametrize("seed", sorted(GROWN_PG54))
+def test_grown_caps_pinned(monkeypatch, seed, chunk):
+    """Growth from empty and from a validated start, at any candidate chunk size."""
+    if chunk is not None:
+        monkeypatch.setattr(cap_mod, "_GROW_CHUNK", chunk)
+    g = Geometry(5, 4)
+    c = random_cap(g, 200, seed)
+    assert greedy_extend(c, seed).points == c.points  # already complete
+    grown = [c] + [greedy_extend(Cap(g, c.points[:k]), seed + 100) for k in (10, 1)]
+    digests = [(x.n, hashlib.sha256(write_cap(x, "packed").encode()).hexdigest()) for x in grown]
+    assert digests == GROWN_PG54[seed]
+
+
+def test_growth_past_the_byte_bound_allocates_nothing():
+    """PG(15,4): the 512 MiB bit-map fits the bound, the 4 GiB byte map does not."""
+    g = Geometry(15, 4)
+    assert g.code_span // 8 <= DEFAULT_MAX_COVERAGE_BYTES < g.code_span
+    starts = [Cap(g, ()), Cap(g, (1,)), Cap(g, (1, 4))]
+    tracemalloc.start()
+    try:
+        for start in starts:
+            with pytest.raises(GeometryTooLargeError, match="one per code"):
+                greedy_extend(start, order_seed=0)
+        with pytest.raises(GeometryTooLargeError, match="one per code"):
+            random_cap(g, 5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_random_cap_deterministic():

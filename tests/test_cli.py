@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from capcheck import Cap, check_oracle, write_cap
-from capcheck.cli import main
+from capcheck import Cap, Geometry, check_oracle, random_cap, write_cap
+from capcheck.cli import EXIT_PIPE, main
 
 MASKED = {"elapsed_ms", "shards", "peak_coverage_bytes"}
 
@@ -114,6 +118,41 @@ def test_header_geometry_mismatch(tmp_path, hyperoval, capsys):
     code, _, err = run_cli(["validate", "--geometry", "3,4", str(p)], capsys)
     assert code == 3
     assert "PG(2,4)" in err
+
+
+def test_extend_past_the_byte_map_bound_exits_4(tmp_path, capsys):
+    """PG(15,4): the bit-map of a check fits the bound, growth's byte per code does not."""
+    p = tmp_path / "two.hex"
+    p.write_text("1\n4\n")
+    code, out, err = run_cli(["extend", "--geometry", "15,4", str(p)], capsys)
+    assert code == 4 and not out
+    assert "bound exceeded" in err and "one per code" in err
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """`capcheck check ... | head -1`: no input error, no traceback."""
+    p = tmp_path / "cap.txt"
+    p.write_text(write_cap(random_cap(Geometry(5, 4), 20, seed=0)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "capcheck", "check", "--geometry", "5,4", "--all-witnesses", str(p)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_PIPE
+
+
+def test_unwritable_output_exits_3(frame4_file, tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "report.txt"
+    code, _, err = run_cli(["check", "--geometry", "2,4", "--output", str(dest), frame4_file], capsys)
+    assert code == 3
+    assert "cannot write output" in err
 
 
 def test_missing_file(capsys):

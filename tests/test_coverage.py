@@ -6,18 +6,31 @@ import numpy as np
 import pytest
 
 from capcheck import Cap, CoverageMap, Geometry, GeometryTooLargeError, InvariantError, normalize, random_cap
-from capcheck.coverage import SecantClusters, covered_codes, mark_pair_secants, multiples_table
+from capcheck.coverage import ByteMap, SecantClusters, covered_codes, mark_pair_secants, multiples_table
 import capcheck.coverage as coverage_mod
 
 PG24 = Geometry(2, 4)
 
 
 def test_mark_and_get_scalar():
+    """A byte map marks by plain store; a bit-map takes marks only through a stage."""
+    grow = ByteMap(PG24)
+    one = np.array([17], dtype=np.uint64)
+    assert not grow.test_codes(one).any()
+    grow.mark_codes(one)
+    assert grow.test_codes(np.array([17, 16], dtype=np.uint64)).tolist() == [True, False]
+    with pytest.raises(ValueError):
+        CoverageMap(PG24).mark_codes(one)
+
+
+def test_byte_map_unpacks_the_bit_map(frame4):
     cov = CoverageMap(PG24)
-    assert not cov.get(17)
-    assert cov.mark_codes(np.array([17], dtype=np.uint64)) == 1
-    assert cov.get(17)
-    assert not cov.get(16)
+    mark_pair_secants(cov, multiples_table(frame4.codes(), PG24), frame4.codes())
+    every = np.arange(PG24.code_span, dtype=np.uint64)
+    assert ByteMap(PG24, cov).test_codes(every).tolist() == cov.test_codes(every).tolist()
+    assert not ByteMap(PG24).test_codes(every).any()
+    with pytest.raises(ValueError):
+        ByteMap(PG24, CoverageMap(PG24, lo=16, hi=32))
 
 
 def test_window_map_takes_marks_only_through_a_stage(hyperoval):
@@ -33,7 +46,6 @@ def test_window_map_takes_marks_only_through_a_stage(hyperoval):
     full = CoverageMap(PG24)
     mark_pair_secants(full, t, hyperoval.codes())
     assert cov.marked_codes(16, 32).tolist() == full.marked_codes(16, 32).tolist()
-    assert not cov.get(1) and not cov.get(32)  # out-of-window reads are False
 
 
 def test_full_span_flag():
@@ -85,8 +97,7 @@ def test_pair_secants_marks_expected_codes(frame3):
                 from capcheck import scalar_mul_point
 
                 expected.add(scalar_mul_point(alpha, p, PG24) ^ q_)
-    for code in range(64):
-        assert cov.get(code) == (code in expected)
+    assert cov.marked_codes(0, 64).tolist() == sorted(expected)
 
 
 def test_windowed_marks_partition_exactly(hyperoval):
@@ -99,8 +110,7 @@ def test_windowed_marks_partition_exactly(hyperoval):
         cov = CoverageMap(PG24, lo=lo, hi=lo + 16)
         _, landed = mark_pair_secants(cov, t, hyperoval.codes())
         landed_sum += landed
-        for code in range(lo, lo + 16):
-            assert cov.get(code) == full.get(code)
+        assert cov.marked_codes(lo, lo + 16).tolist() == full.marked_codes(lo, lo + 16).tolist()
     assert landed_sum == total
 
 
@@ -123,10 +133,9 @@ def test_covered_codes_oracle(frame4):
 
     pts = np.array(list(enumerate_points(PG24)), dtype=np.uint64)
     got = covered_codes(cov, pts, PG24)
+    marked = set(cov.marked_codes(0, 64).tolist())
     for p, flag in zip(pts, got):
-        reps_marked = any(
-            cov.get(scalar_mul_point(a, int(p), PG24)) for a in (1, 2, 3)
-        )
+        reps_marked = any(scalar_mul_point(a, int(p), PG24) in marked for a in (1, 2, 3))
         assert bool(flag) == reps_marked
 
 
@@ -150,7 +159,7 @@ def test_clustered_windows_match_full_map(hyperoval, bits, width):
         p, m = mark_pair_secants(cov, t, codes, clusters)
         pairs += p
         landed += m
-        assert [cov.get(code) for code in range(lo, hi)] == [full.get(code) for code in range(lo, hi)]
+        assert cov.marked_codes(lo, hi).tolist() == full.marked_codes(lo, hi).tolist()
     assert (pairs, landed) == (15, 45)
 
 
@@ -175,7 +184,10 @@ def test_window_must_hold_whole_clusters(hyperoval):
 
 def test_marked_codes_reads_a_range():
     cov = CoverageMap(PG24)
-    assert cov.mark_codes(np.array([5, 12, 13, 40, 49], dtype=np.uint64)) == 5
+    flags = np.zeros(PG24.code_span, dtype=bool)
+    flags[[5, 12, 13, 40, 49]] = True
+    cov._bits[:] = np.packbits(flags, bitorder="little")
+    assert cov.test_codes(np.arange(64, dtype=np.uint64)).tolist() == flags.tolist()
     assert cov.marked_codes(5, 50).tolist() == [5, 12, 13, 40, 49]
     assert cov.marked_codes(13, 41).tolist() == [13, 40]
     assert cov.marked_codes(14, 40).tolist() == []
