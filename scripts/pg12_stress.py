@@ -3,7 +3,8 @@
 
 Loads a cap file, or draws a seeded pseudorandom cap of --size points
 (a complete cap, if the greedy growth completes first), and runs the
-sharded checker, which also decides the cap property from its marks.
+sharded checker, which also decides the cap property from its marks
+and, on a non-cap, prints the collinear triple found from them.
 The coverage windows bound the bit-map memory: with --shards 32
 --workers 4 the bit-maps alive at any moment total 1 MiB instead of the
 full 8 MiB, next to one 1 MiB marking stage per worker.  The per-point
@@ -23,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from capcheck import Geometry, check_split, parse_cap, random_cap, validate_cap
+from capcheck import Geometry, check_split, parse_cap, random_cap
 from capcheck.cli import positive_int
 
 
@@ -49,8 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"grew a {c.n}-point cap (seed {args.seed}) in {time.perf_counter() - t0:.1f}s")
 
     rep = check_split(c, args.shards, args.workers)
-    if not rep.is_cap:
-        print(f"not a cap: {validate_cap(c)}")
+    if rep.violation is not None:
+        print(f"not a cap: {rep.violation}")
         return 2
     print(json.dumps(rep.to_json_dict(), indent=2))
     print(

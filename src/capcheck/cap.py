@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -221,38 +222,40 @@ def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
     cov = CoverageMap(g)
     mult = multiples_table(codes, g)
     check_secant_counts(c.n, g.q, *mark_pair_secants(cov, mult, codes))
-    hit = covered_codes(cov, codes, g)
-    if not hit.any():
-        return cov, None
-    t = int(np.flatnonzero(hit)[0])
-    target_reps = mult[t]
-    for i in range(c.n):
-        block = mult[i][:, None] ^ codes[None, :]
-        block[:, i] = 0  # a self-pair yields a multiple of P_i, not a secant mark
-        where = np.argwhere(np.isin(block, target_reps))
-        if where.size:
-            j = int(where[0][1])
-            a, b, d = sorted((c.points[i], c.points[j], c.points[t]))
-            return cov, CapViolation((a, b, d))
-    raise InvariantError("covered cap point without a generating pair")
+    hit = np.flatnonzero(covered_codes(cov, codes, g))
+    return cov, _collinear_triple(c, int(hit[0])) if hit.size else None
 
 
 def _validate_scalar(c: Cap) -> CapViolation | None:
     # fallback for geometries whose raw span is too large to bit-map
     g = c.geometry
-    marks: dict[int, tuple[int, int]] = {}
-    for i, p in enumerate(c.points):
-        for j in range(i + 1, c.n):
-            pj = c.points[j]
-            for alpha in g.field.nonzero_elements():
-                marks.setdefault(scalar_mul_point(alpha, p, g) ^ pj, (i, j))
+    nonzero = g.field.nonzero_elements()
+    secants = {scalar_mul_point(alpha, p, g) ^ p2 for p, p2 in combinations(c.points, 2) for alpha in nonzero}
     for t, p in enumerate(c.points):
-        for alpha in g.field.nonzero_elements():
-            pair = marks.get(scalar_mul_point(alpha, p, g))
-            if pair is not None:
-                a, b, d = sorted((c.points[pair[0]], c.points[pair[1]], p))
-                return CapViolation((a, b, d))
+        if any(scalar_mul_point(alpha, p, g) in secants for alpha in nonzero):
+            return _collinear_triple(c, t)
     return None
+
+
+def _collinear_triple(c: Cap, t: int) -> CapViolation:
+    """The witness for cap point t, which lies on a secant of two others.
+
+    Takes the first i in cap order, then the first alpha, for which
+    alpha*P_i ^ beta*P_t is another cap point P_j for some beta, and the
+    least such j.  Scalar, so any code width: O(n * q^2) steps.
+    """
+    g = c.geometry
+    others = {p: j for j, p in enumerate(c.points) if j != t}  # i = t finds none: its sums are multiples of P_t
+    nonzero = g.field.nonzero_elements()
+    on_t = [scalar_mul_point(beta, c.points[t], g) for beta in nonzero]
+    for p in c.points:
+        for alpha in nonzero:
+            ap = scalar_mul_point(alpha, p, g)
+            found = [others[ap ^ x] for x in on_t if ap ^ x in others]
+            if found:
+                a, b, d = sorted((p, c.points[min(found)], c.points[t]))
+                return CapViolation((a, b, d))
+    raise InvariantError("covered cap point without a generating pair")
 
 
 # ---------------------------------------------------------------------------

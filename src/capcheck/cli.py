@@ -216,8 +216,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--shards and --workers need --algorithm fast, not {args.algorithm}")
     c = _load_cap(args)
     rep = _run_check(c, args)
-    if args.validate and not rep.is_cap:
-        _emit(f"not a cap: {validate_cap(c)}", args)  # the slow path, for the witness
+    if args.validate and rep.violation is not None:
+        _emit(f"not a cap: {rep.violation}", args)
         return EXIT_NOT_A_CAP
     if args.format == "json":
         _emit(json.dumps(rep.to_json_dict(WITNESS_CAP, args.all_witnesses)), args)

@@ -22,9 +22,10 @@ split   the fast checker over the next power of two >= shards windows
         every (shards, workers); the report keeps the requested shard
         count.  The per-point covered flags still take point_count bytes.
 
-Each also reads the cap property off its own marks (`is_cap`): a covered
-cap point lies on a secant of two others.  All four agree exactly on the
-verdict, the uncovered set and `is_cap`; the test suite holds them to that.
+Each also reads the cap property off its own marks: the first cap point
+on a secant of two others gives the witness triple (`violation`).  All
+four agree exactly on the verdict, the uncovered set and `violation`;
+the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cap import Cap
+from .cap import Cap, CapViolation, _collinear_triple
 from .coverage import CoverageMap, SecantClusters, check_secant_counts, mark_pair_secants, multiples_table
-from .errors import CapTooLargeError, GeometryTooLargeError
+from .errors import GeometryTooLargeError
 from .geometry import (
     Geometry,
     enumerate_points,
@@ -65,7 +66,11 @@ class CompletenessReport:
     geometry: str
     elapsed_ms: float
     peak_coverage_bytes: int
-    is_cap: bool  # no cap point lies on a secant; not part of the report
+    violation: CapViolation | None  # a collinear triple of cap points; not part of the report
+
+    @property
+    def is_cap(self) -> bool:
+        return self.violation is None
 
     @property
     def uncovered_count(self) -> int:
@@ -87,16 +92,9 @@ class CompletenessReport:
         }
 
 
-def _require_checkable(c: Cap) -> None:
-    if c.n > c.geometry.point_count:
-        raise CapTooLargeError(
-            f"{c.n} points cannot be a cap of {c.geometry.label}"
-        )
-
-
 def _finish(
     c: Cap,
-    is_cap: bool,
+    on_secant: list[int],
     uncovered: np.ndarray,
     pairs: int,
     marks: int,
@@ -116,7 +114,7 @@ def _finish(
         geometry=c.geometry.label,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         peak_coverage_bytes=peak,
-        is_cap=is_cap,
+        violation=_collinear_triple(c, on_secant[0]) if on_secant else None,
     )
 
 
@@ -149,7 +147,6 @@ def _scan_window(cov: CoverageMap, g: Geometry, covered: np.ndarray) -> None:
 
 
 def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
-    _require_checkable(c)
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
     t0 = time.perf_counter()
@@ -180,11 +177,11 @@ def _check_marking(c: Cap, shards: int, workers: int) -> CompletenessReport:
     check_secant_counts(c.n, g.q, pairs, marks)
     # a cap point on a secant makes a collinear triple; cap points are never uncovered
     cap_idx = np.array([index_of_point(p, g) for p in c.points], dtype=np.intp)
-    is_cap = not covered[cap_idx].any()
+    on_secant = np.flatnonzero(covered[cap_idx]).tolist()
     covered[cap_idx] = True
     uncovered = points_by_index(np.flatnonzero(~covered).astype(np.uint64), g)
     peak = workers * (-(-width // 8))
-    return _finish(c, is_cap, uncovered, pairs, marks, "fast", shards, peak, t0)
+    return _finish(c, on_secant, uncovered, pairs, marks, "fast", shards, peak, t0)
 
 
 def check_fast(c: Cap) -> CompletenessReport:
@@ -204,7 +201,6 @@ def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
 
 def check_naive(c: Cap) -> CompletenessReport:
     """Baseline: normalize every generated point, mark normalized codes."""
-    _require_checkable(c)
     t0 = time.perf_counter()
     g = c.geometry
     codes = list(c.points)
@@ -217,7 +213,7 @@ def check_naive(c: Cap) -> CompletenessReport:
             cj = codes[j]
             for ai in row_i:
                 covered[index_of_point(normalize(ai ^ cj, g), g)] = 1
-    is_cap = not any(covered[index_of_point(p, g)] for p in codes)
+    on_secant = [t for t, p in enumerate(codes) if covered[index_of_point(p, g)]]
     capset = set(codes)
     uncovered = np.array(
         [
@@ -228,7 +224,7 @@ def check_naive(c: Cap) -> CompletenessReport:
         dtype=np.uint64,
     )
     pairs = n * (n - 1) // 2
-    return _finish(c, is_cap, uncovered, pairs, pairs * (g.q - 1), "naive", 1, g.point_count, t0)
+    return _finish(c, on_secant, uncovered, pairs, pairs * (g.q - 1), "naive", 1, g.point_count, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +240,16 @@ def check_oracle(c: Cap) -> CompletenessReport:
     point is covered by the others.  Quadratic per point and happily
     so; restricted to geometries with at most ORACLE_POINT_LIMIT points.
     """
-    _require_checkable(c)
     g = c.geometry
     if g.point_count > ORACLE_POINT_LIMIT:
         raise GeometryTooLargeError(
             f"{g.label} has {g.point_count} points; oracle limit is {ORACLE_POINT_LIMIT}"
         )
     t0 = time.perf_counter()
-    capset = set(c.points)
+    cap_index = {p: t for t, p in enumerate(c.points)}
     nonzero = list(g.field.nonzero_elements())
     uncovered = []
-    is_cap = True
+    on_secant = []
     for qpt in enumerate_points(g):
         reps = [scalar_mul_point(a, qpt, g) for a in nonzero]
         covered = False
@@ -262,21 +257,22 @@ def check_oracle(c: Cap) -> CompletenessReport:
             if p == qpt:
                 continue
             for rep in reps:
-                if normalize(rep ^ p, g) in capset:
+                if normalize(rep ^ p, g) in cap_index:
                     covered = True
                     break
             if covered:
                 break
-        if qpt in capset:
-            is_cap &= not covered
+        if qpt in cap_index:
+            if covered:
+                on_secant.append(cap_index[qpt])
         elif not covered:
             uncovered.append(qpt)
-    return _finish(c, is_cap, np.array(uncovered, dtype=np.uint64), 0, 0, "oracle", 1, 0, t0)
+    return _finish(c, sorted(on_secant), np.array(uncovered, dtype=np.uint64), 0, 0, "oracle", 1, 0, t0)
 
 
 # ---------------------------------------------------------------------------
 
 
 def reports_agree(a: CompletenessReport, b: CompletenessReport) -> bool:
-    """Same verdict, the same uncovered set and the same cap verdict."""
-    return bool((a.complete, a.is_cap) == (b.complete, b.is_cap) and np.array_equal(a.uncovered, b.uncovered))
+    """Same verdict, the same uncovered set and the same witness of a non-cap."""
+    return bool((a.complete, a.violation) == (b.complete, b.violation) and np.array_equal(a.uncovered, b.uncovered))

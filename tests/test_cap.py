@@ -27,15 +27,17 @@ from capcheck import (
     decode_point,
     encode_point,
     greedy_extend,
+    normalize,
     parse_cap,
     random_cap,
+    scalar_mul_point,
     validate_cap,
     write_cap,
 )
 import capcheck.cap as cap_mod
 from capcheck.cap import _lcg_chunks, _lcg_jumps
 from capcheck.coverage import DEFAULT_MAX_COVERAGE_BYTES
-from oracles import RefField, find_collinear_triple
+from oracles import RefField, collinear, find_collinear_triple, normalize_vec, vec_add, vec_scale
 
 PG24 = Geometry(2, 4)
 PG22 = Geometry(2, 2)
@@ -198,6 +200,65 @@ def test_validate_scalar_fallback_multiword():
     line = Cap(g, tuple(sorted([pts[0], pts[1], pts[0] ^ pts[1]])))
     violation = validate_cap(line)
     assert violation is not None and len(set(violation.triple)) == 3
+
+
+def _no_secant_map(c: Cap):
+    """Stands in for cap._secant_map to force validate_cap's scalar path."""
+    raise GeometryTooLargeError("forced scalar path")
+
+
+def _non_cap(g: Geometry, seed: int) -> Cap:
+    """A greedy-complete cap with 1 to 3 points of its secants inserted at seeded positions."""
+    pts = list(greedy_extend(Cap(g, ()), seed).points)
+    rng = random.Random(seed)
+    for _ in range(1 + seed % 3):
+        a, b = rng.sample(range(len(pts)), 2)
+        p = normalize(scalar_mul_point(rng.randrange(1, g.q), pts[a], g) ^ pts[b], g)
+        if p not in pts:
+            pts.insert(rng.randrange(len(pts) + 1), p)
+    return Cap(g, tuple(pts))
+
+
+def _first_on_secant(f: RefField, vecs: list[tuple[int, ...]]) -> int:
+    """Index of the first point on a line through two others, in reference arithmetic."""
+    points = set(vecs)
+    for t, v in enumerate(vecs):
+        for u in vecs:
+            if u != v and any(
+                normalize_vec(f, vec_add(vec_scale(f, lam, u), v)) in points for lam in range(1, f.q)
+            ):
+                return t
+    raise AssertionError("no point on a secant")
+
+
+@pytest.mark.parametrize(
+    "rq", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (3, 8), (4, 2), (5, 2)], ids=lambda rq: "PG(%d,%d)" % rq
+)
+def test_validate_paths_give_one_witness(monkeypatch, rq):
+    """The map path and the scalar fallback return the same triple, through the first point on a secant."""
+    g = Geometry(*rq)
+    ref = RefField(g.k, g.field.modulus)
+    non_caps = [_non_cap(g, seed) for seed in range(10)]
+    on_map = [validate_cap(c) for c in non_caps]
+    monkeypatch.setattr(cap_mod, "_secant_map", _no_secant_map)
+    for c, want in zip(non_caps, on_map):
+        assert want is not None and validate_cap(c) == want
+        vecs = [tuple(decode_point(p, g)) for p in c.points]
+        assert collinear(ref, *(tuple(decode_point(p, g)) for p in want.triple))
+        assert c.points[_first_on_secant(ref, vecs)] in want.triple
+
+
+@pytest.mark.parametrize(
+    "points, triple",
+    [((1, 16, 4, 5, 17), (1, 16, 17)), ((1, 4, 7, 6, 5), (1, 4, 7))],
+    ids=["first-partner", "least-third"],
+)
+def test_witness_rule(monkeypatch, points, triple):
+    """Through the first point on a secant: its first partner in cap order, then the least third point."""
+    c = Cap(PG24, points)
+    assert validate_cap(c).triple == triple
+    monkeypatch.setattr(cap_mod, "_secant_map", _no_secant_map)
+    assert validate_cap(c).triple == triple
 
 
 def test_subsets_of_caps_are_caps(hyperoval):

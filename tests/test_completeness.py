@@ -9,7 +9,7 @@ import pytest
 
 from capcheck import (
     Cap,
-    CapTooLargeError,
+    CapViolation,
     Geometry,
     GeometryTooLargeError,
     check_fast,
@@ -26,6 +26,7 @@ from capcheck import (
     validate_cap,
 )
 from oracles import RefField, covered
+from product_caps import affine_cap, product_cap
 
 ALL_CHECKERS = [check_fast, check_naive, check_oracle]
 
@@ -316,23 +317,15 @@ def test_oracle_refuses_large_geometry():
         check_oracle(c)
 
 
-def test_cap_larger_than_geometry_rejected(pg22):
-    c = Cap.__new__(Cap)
-    object.__setattr__(c, "geometry", pg22)
-    object.__setattr__(c, "points", tuple(range(1, 9)))
-    with pytest.raises(CapTooLargeError):
-        check_fast(c)
-
-
 def test_reports_agree_function(frame3, frame4):
     a = check_fast(frame3)
     assert reports_agree(a, check_oracle(frame3))
     assert not reports_agree(a, check_fast(frame4))
-    assert not reports_agree(a, dataclasses.replace(a, is_cap=False))
+    assert not reports_agree(a, dataclasses.replace(a, violation=CapViolation((1, 2, 3))))
 
 
 def test_cap_verdicts_agree(corpus, corpus_reports, random_point_sets, checker_reports):
-    """Every checker's is_cap is validate_cap's verdict, for caps and non-caps."""
+    """Every checker's violation is validate_cap's witness, for caps and non-caps."""
     caps = [entry.cap for entry in corpus]
     # a cap of each corpus geometry plus a point on the line of its first two points
     per_geometry = {c.geometry: c for c in caps if c.n >= 2}.values()
@@ -344,12 +337,28 @@ def test_cap_verdicts_agree(corpus, corpus_reports, random_point_sets, checker_r
     reports = corpus_reports + [checker_reports(c) for c in extra]
     non_caps = 0
     for c, reps in zip(caps + extra, reports):
-        want = validate_cap(c) is None
-        non_caps += not want
+        want = validate_cap(c)
+        non_caps += want is not None
         assert set(reps) == {"fast", "split(3,2)", "split(16,2)", "naive", "oracle"}
         for name, rep in reps.items():
-            assert rep.is_cap == want, (c, name)
+            assert rep.violation == want, (c, name)
     assert non_caps >= len(lines) == 9
+
+
+def test_product_caps(checker_reports):
+    """Product caps of affine caps: the 36-cap of PG(4,4), the 96-cap of PG(5,4), and that cap plus a secant point."""
+    plane, solid = affine_cap(2, 4, seed=1), affine_cap(3, 4, seed=6)
+    assert (len(plane), len(solid)) == (6, 16)
+    c36, c96 = product_cap(plane, plane, 4), product_cap(plane, solid, 4)
+    g = c96.geometry
+    on_secant = Cap(g, c96.points + (normalize(c96.points[0] ^ c96.points[1], g),))
+    for c, uncovered, is_cap in ((c36, 0, True), (c96, 16, True), (on_secant, 16, False)):
+        want = validate_cap(c)
+        assert (want is None) == is_cap
+        reps = checker_reports(c)
+        for name, rep in reps.items():
+            assert (rep.uncovered_count, rep.violation) == (uncovered, want), name
+            assert reports_agree(rep, reps["oracle"]), name
 
 
 def test_non_cap_report_leaves_out_its_points(pg24):

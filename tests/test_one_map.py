@@ -6,7 +6,7 @@ import pytest
 
 import capcheck.cap as cap_mod
 import capcheck.coverage as coverage_mod
-from capcheck import Cap, Geometry, greedy_extend, random_cap, write_cap
+from capcheck import Cap, Geometry, greedy_extend, normalize, random_cap, write_cap
 from capcheck.cli import main
 
 
@@ -68,6 +68,21 @@ def test_cli_check_builds_one_map(cap_file, counted, capsys):
     assert main(["check", "--geometry", "4,4", cap_file]) == 1
     assert len(maps) == 1 and maps[0].is_full_span
     assert not marked  # the check marks through completeness.py, not cap.py
+
+
+def test_cli_check_of_non_cap_builds_one_map(tmp_path, counted, capsys):
+    """The check's own marks give the witness: no second map, and the triple validate prints."""
+    maps, marked = counted
+    g = Geometry(4, 4)
+    pts = list(random_cap(g, 12, seed=2).points)
+    pts.insert(5, normalize(pts[7] ^ pts[9], g))
+    p = tmp_path / "non_cap.txt"
+    p.write_text(write_cap(Cap(g, tuple(pts))))
+    assert main(["check", "--geometry", "4,4", str(p)]) == 2
+    assert len(maps) == 1 and not marked
+    checked = capsys.readouterr().out.strip()
+    assert main(["validate", "--geometry", "4,4", str(p)]) == 2
+    assert capsys.readouterr().out.startswith(checked + " = ")
 
 
 def test_cli_sharded_check_builds_no_full_map(cap_file, counted, capsys):
