@@ -28,7 +28,6 @@ from .errors import (
     BadCoordinateError,
     CapcheckError,
     CapFormatError,
-    CapTooLargeError,
     DuplicatePointError,
     GeometryMismatchError,
     GeometryTooLargeError,
@@ -46,7 +45,6 @@ from .errors import (
 from .field import DEFAULT_MODULI, FieldTable, build_field, is_irreducible
 from .geometry import (
     Geometry,
-    add_points,
     decode_point,
     encode_point,
     enumerate_points,
@@ -75,7 +73,6 @@ __all__ = [
     "Cap",
     "CapFormatError",
     "CapMatrix",
-    "CapTooLargeError",
     "CapViolation",
     "CapcheckError",
     "CompletenessReport",
@@ -97,7 +94,6 @@ __all__ = [
     "ZeroInverseError",
     "ZeroScalarError",
     "ZeroVectorError",
-    "add_points",
     "build_field",
     "check_fast",
     "check_hyperplane_parity",

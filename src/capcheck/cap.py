@@ -33,7 +33,6 @@ from .coverage import (
 )
 from .errors import (
     BadCoordinateError,
-    CapTooLargeError,
     DuplicatePointError,
     GeometryMismatchError,
     GeometryTooLargeError,
@@ -80,10 +79,6 @@ class Cap:
             if code in seen:
                 raise DuplicatePointError(f"duplicate point {code:#x}")
             seen.add(code)
-        if len(self.points) > g.point_count:
-            raise CapTooLargeError(
-                f"{len(self.points)} points in a geometry of {g.point_count}"
-            )
 
     @property
     def n(self) -> int:
@@ -319,6 +314,12 @@ def _grow_greedily(
     cap (grow starts with those of `start`), i.e. when none of its
     scalar multiples is marked.  One pass suffices: coverage only grows,
     so every skipped point stays covered.
+
+    A chunk of candidates is tested against the map at once; each
+    survivor is then rechecked against the marks of the points accepted
+    since, one multiple at a time from alpha = 1, and rejected at the
+    first marked one.  An accepted point marks its secants from the
+    multiples its recheck formed.
     """
     g = grow.geometry
     n = len(start)
@@ -328,6 +329,7 @@ def _grow_greedily(
     buf = np.empty(max(64, 2 * n), dtype=np.uint64)  # the cap so far, doubled when full
     buf[:n] = start
     nonzero = list(g.field.nonzero_elements())
+    marked = grow.marked
     for idx in _lcg_chunks(g.point_count, seed, _GROW_CHUNK):
         codes = points_by_index(idx, g)
         covered = covered_codes(grow, codes, g)
@@ -336,11 +338,16 @@ def _grow_greedily(
         for code in codes[~covered].tolist():
             if code in capset:
                 continue
-            reps = np.array([scalar_mul_point(alpha, code, g) for alpha in nonzero], dtype=np.uint64)
-            if grow.test_codes(reps).any():  # marks may have landed within the chunk
+            row = []  # marks may have landed within the chunk: recheck up to the first marked multiple
+            for alpha in nonzero:
+                x = scalar_mul_point(alpha, code, g)
+                if marked[x]:
+                    break
+                row.append(x)
+            if len(row) < len(nonzero):
                 continue
             if n:
-                grow.mark_codes((reps[:, None] ^ buf[None, :n]).ravel())
+                grow.mark_codes((np.array(row, dtype=np.uint64)[:, None] ^ buf[None, :n]).ravel())
             if n == buf.size:
                 buf = np.concatenate((buf, np.empty_like(buf)))
             buf[n] = code

@@ -26,7 +26,6 @@ from .cap import Cap, greedy_extend, parse_cap, validate_cap, write_cap
 from .completeness import CompletenessReport, check_fast, check_naive, check_oracle, check_split
 from .errors import (
     CapFormatError,
-    CapTooLargeError,
     GeometryTooLargeError,
     InvalidCapError,
     OutOfRangeError,
@@ -262,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UnsupportedFieldError, ReduciblePolynomialError, ValueError) as exc:
         print(f"capcheck: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GeometryTooLargeError, CapTooLargeError) as exc:
+    except GeometryTooLargeError as exc:
         print(f"capcheck: bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except InvalidCapError as exc:

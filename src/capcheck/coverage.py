@@ -117,6 +117,11 @@ class ByteMap:
                 f"growth map needs {g.code_span} bytes, one per code (> {DEFAULT_MAX_COVERAGE_BYTES})"
             )
 
+    @property
+    def marked(self) -> memoryview:
+        """Read-only view of the map, a bool per code: marked[x] for one int code x."""
+        return self._marked.data.toreadonly()
+
     def test_codes(self, codes: np.ndarray) -> np.ndarray:
         """Marked or not, for an array of uint64 codes."""
         return self._marked[codes.view(np.intp)]

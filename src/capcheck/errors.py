@@ -61,9 +61,5 @@ class InvalidCapError(CapcheckError):
     """Input point set is not a cap."""
 
 
-class CapTooLargeError(CapcheckError):
-    """Cap has more points than the geometry it claims to live in."""
-
-
 class InvariantError(CapcheckError):
     """An internal consistency check failed: a bug in capcheck, not bad input."""

@@ -152,14 +152,6 @@ def decode_point(code: int, g: Geometry) -> list[int]:
     return [(code >> (g.k * (g.r - i))) & mask for i in range(g.r + 1)]
 
 
-def add_points(a: int, b: int) -> int:
-    """Sum of two points: XOR of the codes.
-
-    Returns 0 (the zero-vector signal, not a valid point) when a == b.
-    """
-    return a ^ b
-
-
 def scalar_mul_point(alpha: int, code: int, g: Geometry) -> int:
     """Coordinate-wise product of a point by a nonzero scalar."""
     if alpha == 0:

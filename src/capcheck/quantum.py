@@ -10,6 +10,11 @@ field but GF(4), and reads its products from the field's product
 table.  verify_quantum_cap decodes the cap once, computes whichever
 rephrasings fit their enumeration bounds, and raises InvariantError if
 they disagree.
+
+Each check is batched: one gather from the product table serves all
+row pairs, a chunk of dual points, or a block of columns, and is
+folded by one XOR reduction.  The chunks bound every temporary to
+about 2^20 bytes, so a large cap costs time, not memory.
 """
 
 from __future__ import annotations
@@ -25,7 +30,23 @@ from .geometry import Geometry, points_by_index
 
 HYPERPLANE_LIMIT = 100_000  # max hyperplanes for the parity check
 WEIGHT_LIMIT = 1 << 18  # max codewords for the even-weight check
-_DUAL_CHUNK = 1 << 12
+_TEMP_ELEMENTS = 1 << 20  # bound on the elements (bytes) of each batched temporary
+
+
+def _chunk(per_item: int) -> int:
+    """Items per batch when each item needs per_item temporary elements: at least 1."""
+    return max(1, _TEMP_ELEMENTS // max(1, per_item))
+
+
+def _products(g: Geometry) -> np.ndarray:
+    """The GF(4) product table in bytes, so every gathered temporary is a byte an element."""
+    return g.field.mul_array.astype(np.uint8)
+
+
+def _coordinates(codes: np.ndarray, g: Geometry) -> np.ndarray:
+    """(r+1, m) coordinates of m uint64 codes, x0 first."""
+    shifts = np.arange(g.r, -1, -1, dtype=np.uint64) * np.uint64(g.k)
+    return ((codes[None, :] >> shifts[:, None]) & np.uint64(g.q - 1)).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -41,8 +62,7 @@ class CapMatrix:
 
     @classmethod
     def from_cap(cls, c: Cap) -> "CapMatrix":
-        cols = np.array(c.coordinates(), dtype=np.intp).reshape(c.n, c.geometry.r + 1)
-        return cls(c.geometry, cols.T.copy())
+        return cls(c.geometry, _coordinates(c.codes(), c.geometry))
 
     @property
     def n(self) -> int:
@@ -77,15 +97,15 @@ def check_self_orthogonal(mat: CapMatrix) -> bool:
     The Hermitian form is the sum of x_i * conj(y_i); conjugation over
     GF(4) is squaring, the diagonal of the product table.
     """
-    mul = mat.geometry.field.mul_array
+    mul = _products(mat.geometry)
     rows = mat.array
     conj = mul.diagonal()[rows]
-    nrows = rows.shape[0]
-    for i in range(nrows):
-        for j in range(i, nrows):
-            if np.bitwise_xor.reduce(mul[rows[i], conj[j]]) != 0:
-                return False
-    return True
+    forms = np.zeros((rows.shape[0], rows.shape[0]), dtype=mul.dtype)  # forms[i, j] = <row i, row j>
+    step = _chunk(forms.size)
+    for lo in range(0, mat.n, step):
+        cols = slice(lo, lo + step)
+        forms ^= np.bitwise_xor.reduce(mul[rows[:, None, cols], conj[None, :, cols]], axis=2)
+    return not forms.any()
 
 
 def check_hyperplane_parity(mat: CapMatrix) -> bool:
@@ -99,17 +119,13 @@ def check_hyperplane_parity(mat: CapMatrix) -> bool:
         raise GeometryTooLargeError(
             f"{g.label} has {g.point_count} hyperplanes; parity check limit is {HYPERPLANE_LIMIT}"
         )
-    mul = g.field.mul_array
+    mul = _products(g)
     parity = mat.n & 1
-    shifts = [g.k * (g.r - i) for i in range(g.r + 1)]
-    mask = np.uint64(g.q - 1)
-    for lo in range(0, g.point_count, _DUAL_CHUNK):
-        hi = min(g.point_count, lo + _DUAL_CHUNK)
-        duals = points_by_index(np.arange(lo, hi, dtype=np.uint64), g)
-        acc = np.zeros((hi - lo, mat.n), dtype=mul.dtype)
-        for i, shift in enumerate(shifts):
-            dcol = ((duals >> np.uint64(shift)) & mask).astype(np.intp)
-            acc ^= mul[dcol[:, None], mat.array[i][None, :]]
+    step = _chunk(mat.array.size)
+    for lo in range(0, g.point_count, step):
+        hi = min(g.point_count, lo + step)
+        duals = _coordinates(points_by_index(np.arange(lo, hi, dtype=np.uint64), g), g).T
+        acc = np.bitwise_xor.reduce(mul[duals[:, :, None], mat.array[None]], axis=1)
         hits = (acc == 0).sum(axis=1)
         if ((hits & 1) != parity).any():
             return False
@@ -119,8 +135,9 @@ def check_hyperplane_parity(mat: CapMatrix) -> bool:
 def check_weights_even(mat: CapMatrix) -> bool:
     """True iff every codeword of the row space has even Hamming weight.
 
-    Works column by column: the parity contribution of one column over
-    all q^(r+1) coefficient vectors is a tensor of its scalar multiples,
+    Works a block of columns at a time: the contribution of one column
+    over all q^(r+1) coefficient vectors is a tensor of its scalar
+    multiples, and the nonzero flags of the block's tensors are
     XOR-folded into one parity flag per coefficient vector.
     """
     g = mat.geometry
@@ -128,13 +145,15 @@ def check_weights_even(mat: CapMatrix) -> bool:
         raise GeometryTooLargeError(
             f"{g.label} needs {g.code_span} codewords; even-weight limit is {WEIGHT_LIMIT}"
         )
-    mul = g.field.mul_array
+    mul = _products(g)
     odd = np.zeros(g.code_span, dtype=bool)
-    for col in mat.array.T.tolist():
-        v = np.zeros(1, dtype=mul.dtype)
-        for e in col:
-            v = (mul[:, e, None] ^ v[None, :]).ravel()
-        odd ^= v != 0
+    step = _chunk(g.code_span)
+    for lo in range(0, mat.n, step):
+        block = mat.array[:, lo : lo + step]
+        v = np.zeros((block.shape[1], 1), dtype=mul.dtype)
+        for e in block:  # v[b, a_i * len + rest] = a_i * e[b] ^ v[b, rest]
+            v = (mul[:, e].T[:, :, None] ^ v[:, None, :]).reshape(block.shape[1], -1)
+        odd ^= np.logical_xor.reduce(v != 0, axis=0)
     return not odd.any()
 
 

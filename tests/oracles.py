@@ -120,3 +120,35 @@ def covered(f: RefField, cap_vecs: list[tuple[int, ...]], p: tuple[int, ...]) ->
         if collinear(f, a, b, p):
             return True
     return False
+
+
+def greedy_cap(
+    f: RefField, r: int, order, start: tuple[int, ...] = (), limit: int | None = None
+) -> list[int]:
+    """Greedy cap of PG(r, q) by the definition, as codes.
+
+    Points are indexed in increasing order of their codes; `order` walks
+    those indices.  Starting from the cap `start`, each point is kept
+    exactly when no line through it holds two kept points, until `limit`
+    points are kept.  The lines of the kept points are enumerated as
+    they are kept.
+    """
+    points = sorted(all_points(f, r), key=lambda v: encode_coords(v, f.q))
+    kept: list[tuple[int, ...]] = []
+    on_lines: set[tuple[int, ...]] = set()
+
+    def keep(p):
+        for a in kept:  # the line through a and p, but for p itself: a + mu*p for every mu
+            on_lines.update(normalize_vec(f, vec_add(a, vec_scale(f, mu, p))) for mu in range(f.q))
+        kept.append(p)
+
+    by_code = {encode_coords(p, f.q): p for p in points}
+    for code in start:
+        keep(by_code[code])
+    for t in order:
+        if limit is not None and len(kept) >= limit:
+            break
+        p = points[int(t)]
+        if p not in on_lines and p not in kept:
+            keep(p)
+    return [encode_coords(p, f.q) for p in kept]

@@ -37,7 +37,7 @@ from capcheck import (
 import capcheck.cap as cap_mod
 from capcheck.cap import _lcg_chunks, _lcg_jumps
 from capcheck.coverage import DEFAULT_MAX_COVERAGE_BYTES
-from oracles import RefField, collinear, find_collinear_triple, normalize_vec, vec_add, vec_scale
+from oracles import RefField, collinear, find_collinear_triple, greedy_cap, normalize_vec, vec_add, vec_scale
 
 PG24 = Geometry(2, 4)
 PG22 = Geometry(2, 2)
@@ -350,6 +350,24 @@ def test_grown_caps_pinned(monkeypatch, seed, chunk):
     grown = [c] + [greedy_extend(Cap(g, c.points[:k]), seed + 100) for k in (10, 1)]
     digests = [(x.n, hashlib.sha256(write_cap(x, "packed").encode()).hexdigest()) for x in grown]
     assert digests == GROWN_PG54[seed]
+
+
+@pytest.mark.parametrize(
+    "r, q, seed", [(3, 4, s) for s in range(4)] + [(4, 4, s) for s in range(2)] + [(3, 8, s) for s in range(2)]
+)
+def test_growth_matches_reference_greedy(r, q, seed):
+    """Growth keeps exactly the points that the definition keeps, walking the same order."""
+    g = Geometry(r, q)
+    f = RefField(g.k, g.field.modulus)
+
+    def order(s):
+        return [t for chunk in _lcg_chunks(g.point_count, s) for t in chunk.tolist()]
+
+    assert list(random_cap(g, g.point_count, seed).points) == greedy_cap(f, r, order(seed))
+    assert list(random_cap(g, 5, seed).points) == greedy_cap(f, r, order(seed), limit=5)
+    start = random_cap(g, 3, seed).points
+    grown = greedy_extend(Cap(g, start), seed + 7).points
+    assert list(grown) == greedy_cap(f, r, order(seed + 7), start)
 
 
 def test_growth_past_the_byte_bound_allocates_nothing():

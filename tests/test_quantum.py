@@ -233,3 +233,18 @@ def test_three_conditions_agree_on_corpus(corpus):
         assert v.is_quantum_cap == (v.spans_space and v.hermitian_self_orthogonal)
         seen += 1
     assert seen >= 150
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_batch_sizes_do_not_change_verdicts(corpus, pg24, monkeypatch, size):
+    """Dual chunks and column blocks of 1 or 2 give the verdicts of the default batches."""
+    import capcheck.quantum as quantum_mod
+
+    caps = [e.cap for e in corpus if e.cap.geometry.q == 4] + [Cap(pg24, ())]
+    default = [verify_quantum_cap(c) for c in caps]
+    monkeypatch.setattr(quantum_mod, "_chunk", lambda per_item: size)
+    assert [verify_quantum_cap(c) for c in caps] == default
+    empty = CapMatrix(pg24, np.zeros((3, 0), dtype=np.intp))
+    assert check_self_orthogonal(empty)
+    assert check_hyperplane_parity(empty)
+    assert check_weights_even(empty)
