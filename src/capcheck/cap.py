@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,10 +84,6 @@ class Cap:
         return len(self.points)
 
     def codes(self) -> np.ndarray:
-        if self.geometry.code_bits > 64:
-            raise GeometryTooLargeError(
-                f"{self.geometry.label} codes do not fit one machine word"
-            )
         return np.array(self.points, dtype=np.uint64)
 
     def coordinates(self) -> list[list[int]]:
@@ -200,14 +195,16 @@ def validate_cap(c: Cap) -> CapViolation | None:
     """None if no three points are collinear, else one witness triple.
 
     Marks the q-1 interior points of every secant and looks for a cap
-    point among the marks; quadratic in n, never cubic.
+    point among the marks; quadratic in n, never cubic.  Past the
+    bit-map bound, looks the secants up among the cap points' multiples
+    instead, in O(n q) memory.
     """
     if c.n < 3:
         return None
     try:
         return _secant_map(c)[1]
     except GeometryTooLargeError:
-        return _validate_scalar(c)
+        return _secant_lookup(c)
 
 
 def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
@@ -221,15 +218,27 @@ def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
     return cov, _collinear_triple(c, int(hit[0])) if hit.size else None
 
 
-def _validate_scalar(c: Cap) -> CapViolation | None:
-    # fallback for geometries whose raw span is too large to bit-map
+def _secant_lookup(c: Cap) -> CapViolation | None:
+    """What _secant_map finds, without a map: each secant code searched among the sorted multiples.
+
+    Secant alpha*P_i ^ P_j equals some beta*P_t exactly when P_t is on
+    the line through P_i and P_j.  The witness starts from the least
+    such t over every pair, the map's first covered cap point.
+    """
     g = c.geometry
-    nonzero = g.field.nonzero_elements()
-    secants = {scalar_mul_point(alpha, p, g) ^ p2 for p, p2 in combinations(c.points, 2) for alpha in nonzero}
-    for t, p in enumerate(c.points):
-        if any(scalar_mul_point(alpha, p, g) in secants for alpha in nonzero):
-            return _collinear_triple(c, t)
-    return None
+    codes = c.codes()
+    mult = multiples_table(codes, g)
+    order = np.argsort(mult, axis=None)
+    table = mult.ravel()[order]
+    owner = order // (g.q - 1)  # cap index of each sorted multiple
+    first = c.n
+    for i in range(c.n - 1):
+        secants = mult[i][:, None] ^ codes[i + 1 :]
+        pos = np.searchsorted(table, secants)
+        hit = table.take(pos, mode="clip") == secants  # a code past the last multiple clips to a smaller one
+        if hit.any():
+            first = min(first, int(owner[pos[hit]].min()))
+    return _collinear_triple(c, first) if first < c.n else None
 
 
 def _collinear_triple(c: Cap, t: int) -> CapViolation:
@@ -237,7 +246,7 @@ def _collinear_triple(c: Cap, t: int) -> CapViolation:
 
     Takes the first i in cap order, then the first alpha, for which
     alpha*P_i ^ beta*P_t is another cap point P_j for some beta, and the
-    least such j.  Scalar, so any code width: O(n * q^2) steps.
+    least such j.  Scalar: O(n * q^2) steps.
     """
     g = c.geometry
     others = {p: j for j, p in enumerate(c.points) if j != t}  # i = t finds none: its sums are multiples of P_t

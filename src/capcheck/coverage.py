@@ -13,7 +13,8 @@ then packed into the window's bit-map in one pass (_Stage), the only
 way a window map is written.  Greedy growth marks a byte per code
 instead (ByteMap): a plain store per code, at 8 times the memory.
 
-Codes reaching this module must fit in a uint64 (geometry enforces it).
+Every code fits a uint64: a Geometry refuses codes over 64 bits when it
+is built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GeometryTooLargeError, InvariantError
-from .geometry import Geometry, _require_vector_support, scalar_mul_codes
+from .geometry import Geometry, scalar_mul_codes
 
 # refuse to allocate absurd coverage windows (2 GiB); split instead
 DEFAULT_MAX_COVERAGE_BYTES = 1 << 31
@@ -43,7 +44,6 @@ class CoverageMap:
     __slots__ = ("geometry", "lo", "hi", "nbytes", "_bits", "_stage")
 
     def __init__(self, g: Geometry, lo: int = 0, hi: int | None = None):
-        _require_vector_support(g)
         if hi is None:
             hi = g.code_span
         if not 0 <= lo < hi <= g.code_span:
@@ -111,7 +111,6 @@ class ByteMap:
     @staticmethod
     def require_fits(g: Geometry) -> None:
         """Raise GeometryTooLargeError, allocating nothing, unless g's byte map is within the bound."""
-        _require_vector_support(g)
         if g.code_span > DEFAULT_MAX_COVERAGE_BYTES:
             raise GeometryTooLargeError(
                 f"growth map needs {g.code_span} bytes, one per code (> {DEFAULT_MAX_COVERAGE_BYTES})"
@@ -172,7 +171,6 @@ def multiples_table(codes: np.ndarray, g: Geometry) -> np.ndarray:
     Column 0 (alpha = 1) is the cap code itself; every row normalizes
     back to its cap point.
     """
-    _require_vector_support(g)
     codes = np.asarray(codes, dtype=np.uint64)
     out = np.empty((codes.size, g.q - 1), dtype=np.uint64)
     for alpha in g.field.nonzero_elements():

@@ -34,7 +34,7 @@ class SamePointError(CapcheckError):
 
 
 class GeometryTooLargeError(CapcheckError):
-    """Geometry exceeds the resource bound of the chosen algorithm."""
+    """Geometry past a resource bound: codes over 64 bits, or too large for the chosen algorithm."""
 
 
 class CapFormatError(CapcheckError):

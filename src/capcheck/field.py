@@ -17,16 +17,13 @@ degree k in this integer encoding:
     k=6: x^6+x+1       -> 67
     k=7: x^7+x+1       -> 131
     k=8: x^8+x^4+x^3+x+1 -> 283
-    (and so on through k=16)
 
 For k=2 this gives GF(4) = {0, 1, w, wb} encoded as {0, 1, 2, 3}, with
 w^2 = wb, w*wb = 1 and wb = w+1.
 
-For k <= 8 a full 2^k x 2^k product table is built eagerly and all
-operations are table lookups; for larger k multiplication falls back to
-carry-less multiply plus reduction and inverses use square-and-multiply.
-A FieldTable is immutable after construction and safe to share between
-threads.
+Fields run from GF(2) to GF(2^8): a full 2^k x 2^k product table is
+built eagerly and every operation is a table lookup.  A FieldTable is
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ import numpy as np
 
 from .errors import ReduciblePolynomialError, UnsupportedFieldError, ZeroInverseError
 
-MAX_DEGREE = 16
-TABLE_DEGREE = 8  # full product tables up to this k
+MAX_DEGREE = 8  # the largest k whose product table is built
 
 # Smallest irreducible polynomial of degree k, integer-encoded.
 DEFAULT_MODULI: dict[int, int] = {
@@ -48,26 +44,7 @@ DEFAULT_MODULI: dict[int, int] = {
     6: 67,
     7: 131,
     8: 283,
-    9: 515,
-    10: 1033,
-    11: 2053,
-    12: 4105,
-    13: 8219,
-    14: 16417,
-    15: 32771,
-    16: 65579,
 }
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (polynomial) product of two integer-encoded polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 def _pmod(a: int, m: int) -> int:
@@ -79,7 +56,7 @@ def _pmod(a: int, m: int) -> int:
 
 
 def _product_table(k: int, modulus: int) -> np.ndarray:
-    """The 2^k x 2^k table of a*b mod modulus: a vectorized _clmul, then _pmod."""
+    """The 2^k x 2^k table of a*b mod modulus: a vectorized carry-less product, then _pmod."""
     e = np.arange(1 << k, dtype=np.uint64)
     prod = np.zeros((e.size, e.size), dtype=np.uint64)
     for i in range(k):
@@ -116,18 +93,12 @@ class FieldTable:
         self.k = k
         self.modulus = modulus
         self.q = 1 << k
-        if k <= TABLE_DEGREE:
-            table = _product_table(k, modulus)
-            self._mul: list[list[int]] | None = table.tolist()
-            self._sq: list[int] | None = table.diagonal().tolist()
-            inv = (table[1:] == 1).argmax(axis=1)
-            self._inv: list[int] | None = [0, *inv.tolist()]
-            self.mul_array: np.ndarray | None = table
-        else:
-            self._mul = None
-            self._sq = None
-            self._inv = None
-            self.mul_array = None
+        table = _product_table(k, modulus)
+        self._mul: list[list[int]] = table.tolist()
+        self._sq: list[int] = table.diagonal().tolist()
+        inv = (table[1:] == 1).argmax(axis=1)
+        self._inv: list[int] = [0, *inv.tolist()]
+        self.mul_array: np.ndarray = table
 
     # -- core operations ------------------------------------------------
 
@@ -137,35 +108,22 @@ class FieldTable:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return _pmod(_clmul(a, b), self.modulus)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroInverseError on 0."""
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        # a^(2^k - 2) by square and multiply
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._inv[a]
 
     def square(self, a: int) -> int:
-        if self._sq is not None:
-            return self._sq[a]
-        return self.mul(a, a)
+        return self._sq[a]
 
     def conjugate(self, a: int) -> int:
         """GF(4) conjugation a -> a^2.  Only defined for k=2."""
         if self.k != 2:
             raise UnsupportedFieldError(f"conjugation needs GF(4), got GF(2^{self.k})")
-        return self._sq[a]  # type: ignore[index]
+        return self._sq[a]
 
     # -- helpers --------------------------------------------------------
 
@@ -182,7 +140,7 @@ class FieldTable:
 def build_field(k: int, modulus: int | None = None) -> FieldTable:
     """Build GF(2^k) under the given (or default) irreducible modulus.
 
-    Raises UnsupportedFieldError for k outside [1, 16] and
+    Raises UnsupportedFieldError for k outside [1, 8] and
     ReduciblePolynomialError when the supplied modulus factors over
     GF(2) or has the wrong degree.
     """

@@ -6,11 +6,10 @@ one integer with x0 in the most significant k-bit block:
     code = sum over i of x_i * (2^k)^(r-i)
 
 Because field addition is XOR on the encodings, the sum of two points is
-a single XOR of their codes.  Python integers are arbitrary precision,
-so codes wider than one machine word need no special handling; numeric
-comparison of codes coincides with most-significant-word-first
-lexicographic order.  The numpy bulk helpers additionally require codes
-to fit in 64 bits.
+a single XOR of their codes.  A Geometry refuses codes over 64 bits, so
+every code is both a Python int and a uint64, and the numpy bulk
+helpers take any geometry.  Numeric comparison of codes coincides with
+lexicographic order of the coordinates, x0 first.
 
 Normalized representative: the scalar multiple whose leftmost nonzero
 coordinate is 1.  Normalized codes are exactly the minima of their
@@ -34,14 +33,14 @@ from .errors import (
     ZeroScalarError,
     ZeroVectorError,
 )
-from .field import TABLE_DEGREE, FieldTable, build_field
-
-WORD_BITS = 64
+from .field import FieldTable, build_field
 
 
 class Geometry:
     """The projective space PG(r, 2^k) together with its field tables.
 
+    Refuses a field past GF(2^8) (UnsupportedFieldError, from
+    build_field) and codes over 64 bits (GeometryTooLargeError).
     Immutable; shareable between threads.
     """
 
@@ -51,7 +50,6 @@ class Geometry:
         "q",
         "field",
         "code_bits",
-        "words_per_code",
         "code_span",
         "point_count",
         "_powers",
@@ -72,21 +70,17 @@ class Geometry:
         self.q = q
         self.field: FieldTable = build_field(k, modulus)
         self.code_bits = k * (r + 1)
-        self.words_per_code = -(-self.code_bits // WORD_BITS)
+        if self.code_bits > 64:  # every code fits a uint64
+            raise GeometryTooLargeError(f"{self.label} needs {self.code_bits}-bit codes; the limit is 64")
         self.code_span = 1 << self.code_bits  # q^(r+1); valid codes are [1, span)
         self.point_count = (self.code_span - 1) // (q - 1)
         # q^d and the number of normalized codes below q^d, d = 0 .. r+1
         self._powers = [1 << (k * d) for d in range(r + 2)]
         self._cum = [(p - 1) // (q - 1) for p in self._powers]
-        if self.code_bits <= WORD_BITS:
-            # d = 0 .. r only: q^(r+1) itself does not fit 64-bit codes
-            self._powers_arr = np.array(self._powers[:-1], dtype=np.uint64)
-            self._cum_arr = np.array(self._cum[:-1], dtype=np.uint64)
-        else:
-            self._powers_arr = None
-            self._cum_arr = None
-        vector = self.code_bits <= WORD_BITS and k <= TABLE_DEGREE
-        self.split_tables = _split_tables(self) if vector else None  # for scalar_mul_codes
+        # d = 0 .. r only: q^(r+1) itself does not fit 64-bit codes
+        self._powers_arr = np.array(self._powers[:-1], dtype=np.uint64)
+        self._cum_arr = np.array(self._cum[:-1], dtype=np.uint64)
+        self.split_tables = _split_tables(self)  # for scalar_mul_codes
 
     @property
     def label(self) -> str:
@@ -246,19 +240,8 @@ def index_of_point(code: int, g: Geometry) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy bulk helpers (codes must fit one 64-bit word)
+# numpy bulk helpers over uint64 codes
 # ---------------------------------------------------------------------------
-
-
-def _require_vector_support(g: Geometry) -> None:
-    if g.code_bits > WORD_BITS:
-        raise GeometryTooLargeError(
-            f"{g.label} needs {g.code_bits}-bit codes; bulk operations support <= {WORD_BITS}"
-        )
-    if g.k > TABLE_DEGREE:
-        raise GeometryTooLargeError(
-            f"bulk operations need a full product table (k <= {TABLE_DEGREE}), got k={g.k}"
-        )
 
 
 def scalar_mul_codes(alpha: int, codes: np.ndarray, g: Geometry) -> np.ndarray:
@@ -267,7 +250,6 @@ def scalar_mul_codes(alpha: int, codes: np.ndarray, g: Geometry) -> np.ndarray:
     The XOR of one g.split_tables lookup per code byte: the split tables
     of Plank, Greenan and Miller (FAST 2013).
     """
-    _require_vector_support(g)
     if alpha == 0:
         raise ZeroScalarError("scalar multiple by 0")
     if alpha == 1:
@@ -282,6 +264,5 @@ def scalar_mul_codes(alpha: int, codes: np.ndarray, g: Geometry) -> np.ndarray:
 
 def points_by_index(idx: np.ndarray, g: Geometry) -> np.ndarray:
     """Vectorized point_by_index over a uint64 index array."""
-    _require_vector_support(g)
     d = np.searchsorted(g._cum_arr, idx, side="right") - 1
     return g._powers_arr[d] + (idx - g._cum_arr[d])

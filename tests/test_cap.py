@@ -25,7 +25,6 @@ from capcheck import (
     ZeroVectorError,
     check_fast,
     decode_point,
-    encode_point,
     greedy_extend,
     normalize,
     parse_cap,
@@ -186,30 +185,20 @@ def test_validate_agrees_with_cubic_oracle(random_point_sets, seed):
         assert collinear(ref, va, vb, vx)
 
 
-def test_validate_scalar_fallback_multiword():
-    """Geometries beyond the vector bound fall back to dict marking."""
-    g = Geometry(8, 256)  # 72-bit codes, no numpy path
-    e = [0] * 9
-    pts = []
-    for i in (0, 1, 2):
-        v = e.copy()
-        v[i] = 1
-        pts.append(encode_point(v, g))
-    ok = Cap(g, tuple(sorted(pts)))
-    assert validate_cap(ok) is None
-    line = Cap(g, tuple(sorted([pts[0], pts[1], pts[0] ^ pts[1]])))
-    violation = validate_cap(line)
-    assert violation is not None and len(set(violation.triple)) == 3
-
-
 def _no_secant_map(c: Cap):
-    """Stands in for cap._secant_map to force validate_cap's scalar path."""
-    raise GeometryTooLargeError("forced scalar path")
+    """Stands in for cap._secant_map, as past the bit-map bound, to force validate_cap's secant lookup."""
+    raise GeometryTooLargeError("forced secant lookup")
 
 
 def _non_cap(g: Geometry, seed: int) -> Cap:
     """A greedy-complete cap with 1 to 3 points of its secants inserted at seeded positions."""
-    pts = list(greedy_extend(Cap(g, ()), seed).points)
+    return _with_secant_points(greedy_extend(Cap(g, ()), seed), seed)
+
+
+def _with_secant_points(c: Cap, seed: int) -> Cap:
+    """c with 1 to 3 points of its secants inserted at seeded positions."""
+    g = c.geometry
+    pts = list(c.points)
     rng = random.Random(seed)
     for _ in range(1 + seed % 3):
         a, b = rng.sample(range(len(pts)), 2)
@@ -235,7 +224,7 @@ def _first_on_secant(f: RefField, vecs: list[tuple[int, ...]]) -> int:
     "rq", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (3, 8), (4, 2), (5, 2)], ids=lambda rq: "PG(%d,%d)" % rq
 )
 def test_validate_paths_give_one_witness(monkeypatch, rq):
-    """The map path and the scalar fallback return the same triple, through the first point on a secant."""
+    """The map path and the secant lookup return the same triple, through the first point on a secant."""
     g = Geometry(*rq)
     ref = RefField(g.k, g.field.modulus)
     non_caps = [_non_cap(g, seed) for seed in range(10)]
@@ -259,6 +248,66 @@ def test_witness_rule(monkeypatch, points, triple):
     assert validate_cap(c).triple == triple
     monkeypatch.setattr(cap_mod, "_secant_map", _no_secant_map)
     assert validate_cap(c).triple == triple
+
+
+PG10 = Geometry(10, 4)
+PG17 = Geometry(17, 4)  # 36-bit codes: its 8 GiB bit-map is past the bound
+
+
+def _in_pg17(c: Cap) -> Cap:
+    """The same codes as points of PG(17,4): seven zero coordinates in front, and lines stay lines."""
+    return Cap(PG17, c.points)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_secant_lookup_matches_the_map(seed):
+    """Past the bit-map bound, validate_cap gives the PG(10,4) map path's triple."""
+    c = _with_secant_points(random_cap(PG10, 1500, seed), seed)
+    want = validate_cap(c)
+    assert want is not None
+    assert validate_cap(_in_pg17(c)) == want
+
+
+def _collinear_indices(c: Cap) -> set[tuple[int, int, int]]:
+    g = c.geometry
+    ref = RefField(g.k, g.field.modulus)
+    vecs = [tuple(decode_point(p, g)) for p in c.points]
+    return {t for t in combinations(range(c.n), 3) if collinear(ref, *(vecs[i] for i in t))}
+
+
+@pytest.mark.parametrize("earlier_triple", [False, True], ids=["only-triple", "with-earlier-triple"])
+def test_secant_lookup_reads_the_last_pair(earlier_triple):
+    """P_1 lies on the line through the last two points and on no other secant.
+
+    Only the pair (n-2, n-1) has a secant through P_1, and the witness
+    starts from the least cap index on any secant, so the triple is
+    {P_1, P_(n-2), P_(n-1)}.  The second case adds the triple
+    {P_2, P_3, P_4}, found from earlier pairs: a lookup that skipped the
+    last pair would start from P_2 and return that one.
+    """
+    g = Geometry(5, 4)
+    base = list(random_cap(g, 12, 0).points)
+    if earlier_triple:
+        base.insert(4, normalize(base[2] ^ base[3], g))
+    n = len(base) + 1
+    want = {(1, n - 2, n - 1), (2, 3, 4)} if earlier_triple else {(1, n - 2, n - 1)}
+    caps = [Cap(g, (*base, normalize(scalar_mul_point(beta, base[1], g) ^ base[-1], g))) for beta in (1, 2, 3)]
+    c = next(c for c in caps if _collinear_indices(c) == want)
+    triple = tuple(sorted(c.points[t] for t in (1, n - 2, n - 1)))
+    assert validate_cap(c).triple == triple
+    assert validate_cap(_in_pg17(c)).triple == triple
+
+
+def test_secant_lookup_memory():
+    """The lookup holds O(n q) codes: under 8 MiB for a 1500-cap with 36-bit codes."""
+    c = _in_pg17(random_cap(PG10, 1500, 0))
+    tracemalloc.start()
+    try:
+        assert validate_cap(c) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_subsets_of_caps_are_caps(hyperoval):

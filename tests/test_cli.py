@@ -435,8 +435,16 @@ def test_bench_is_not_a_command(oval_file, capsys):
 
 
 def test_unsupported_geometry_exits_3(oval_file, capsys):
-    code, _, err = run_cli(["validate", "--geometry", "2,9", oval_file], capsys)
-    assert code == 3
+    for geometry in ("2,9", "1,512"):
+        code, _, err = run_cli(["validate", "--geometry", geometry, oval_file], capsys)
+        assert code == 3
+
+
+def test_codes_over_64_bits_exit_4(oval_file, capsys):
+    """PG(8,256) needs 72-bit codes: refused when the geometry is built."""
+    code, _, err = run_cli(["validate", "--geometry", "8,256", oval_file], capsys)
+    assert code == 4
+    assert "bound exceeded" in err
 
 
 def test_explicit_modulus(oval_file, capsys):

@@ -24,6 +24,7 @@ from capcheck import (
     UnsupportedFieldError,
     WrongArityError,
     ZeroVectorError,
+    build_field,
     decode_point,
     encode_point,
     enumerate_points,
@@ -239,7 +240,6 @@ def test_geometry_identities():
         g = Geometry(r, q)
         assert g.point_count * (q - 1) == g.code_span - 1
         assert g.code_bits == g.k * (r + 1)
-        assert g.words_per_code == -(-g.code_bits // 64)
     assert Geometry(12, 4).label == "PG(12,4)"
 
 
@@ -250,19 +250,12 @@ def test_geometry_rejects_bad_parameters():
         Geometry(2, 1)
     with pytest.raises(GeometryTooLargeError):
         Geometry(0, 4)
-
-
-def test_multiword_codes_scalar_path():
-    """k(r+1) > 64 still works through plain integers."""
-    g = Geometry(8, 256)  # 72-bit codes
-    assert g.words_per_code == 2
-    coords = [1] + [0] * 7 + [255]
-    code = encode_point(coords, g)
-    assert code == (1 << 64) + 255
-    assert decode_point(code, g) == coords
-    assert normalize(scalar_mul_point(7, code, g), g) == code
-    with pytest.raises(GeometryTooLargeError):
-        scalar_mul_codes(2, np.array([1], dtype=np.uint64), g)
+    with pytest.raises(GeometryTooLargeError, match="72-bit codes"):
+        Geometry(8, 256)
+    with pytest.raises(UnsupportedFieldError):
+        Geometry(1, 512)
+    with pytest.raises(UnsupportedFieldError):
+        build_field(9)
 
 
 @given(coords=st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))

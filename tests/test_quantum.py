@@ -186,7 +186,7 @@ def test_quantum_requires_gf4(pg22):
         verify_quantum_cap(Cap(pg22, (4, 2, 1)))
 
 
-@pytest.mark.parametrize("r, q", [(2, 2), (3, 8), (1, 512)])
+@pytest.mark.parametrize("r, q", [(2, 2), (3, 8)])
 def test_cap_matrix_requires_gf4(r, q):
     """Every condition takes a CapMatrix, so this one check guards them all."""
     g = Geometry(r, q)
