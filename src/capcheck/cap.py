@@ -376,7 +376,7 @@ def greedy_extend(c: Cap, order_seed: int) -> Cap:
     """
     g = c.geometry
     ByteMap.require_fits(g)
-    cov, witness = _secant_map(c) if c.n >= 2 else (CoverageMap(g), None)
+    cov, witness = _secant_map(c) if c.n >= 2 else (None, None)
     if witness is not None:
         raise InvalidCapError(str(witness))
     grow = ByteMap(g, cov)

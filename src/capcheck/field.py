@@ -22,8 +22,11 @@ For k=2 this gives GF(4) = {0, 1, w, wb} encoded as {0, 1, 2, 3}, with
 w^2 = wb, w*wb = 1 and wb = w+1.
 
 Fields run from GF(2) to GF(2^8): a full 2^k x 2^k product table is
-built eagerly and every operation is a table lookup.  A FieldTable is
-immutable after construction and safe to share between threads.
+built eagerly and every operation is a table lookup.  Callers add with
+`^` and list the elements as range(q); a FieldTable offers mul, inv
+and square (over GF(4), squaring is conjugation), and the whole table
+as the numpy array mul_array.  A FieldTable is immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class FieldTable:
     [0, 2^k - 1]; the table never wraps them.
     """
 
-    __slots__ = ("k", "modulus", "q", "_mul", "_inv", "_sq", "mul_array")
+    __slots__ = ("k", "modulus", "q", "_mul", "_inv", "mul_array")
 
     def __init__(self, k: int, modulus: int):
         self.k = k
@@ -95,17 +98,9 @@ class FieldTable:
         self.q = 1 << k
         table = _product_table(k, modulus)
         self._mul: list[list[int]] = table.tolist()
-        self._sq: list[int] = table.diagonal().tolist()
         inv = (table[1:] == 1).argmax(axis=1)
         self._inv: list[int] = [0, *inv.tolist()]
         self.mul_array: np.ndarray = table
-
-    # -- core operations ------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition: bitwise XOR of the encodings."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -117,18 +112,7 @@ class FieldTable:
         return self._inv[a]
 
     def square(self, a: int) -> int:
-        return self._sq[a]
-
-    def conjugate(self, a: int) -> int:
-        """GF(4) conjugation a -> a^2.  Only defined for k=2."""
-        if self.k != 2:
-            raise UnsupportedFieldError(f"conjugation needs GF(4), got GF(2^{self.k})")
-        return self._sq[a]
-
-    # -- helpers --------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
+        return self._mul[a][a]
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)

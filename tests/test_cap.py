@@ -51,6 +51,7 @@ def test_parse_text_frame():
     c = parse_cap("1 0 0\n0 1 0\n0 0 1\n", PG24)
     assert c.n == 3
     assert c.points == (16, 4, 1)  # file order preserved
+    assert parse_cap(b"1 0 0\n0 1 0\n0 0 1\n", PG24) == c  # ASCII bytes parse as text
 
 
 def test_parse_packed():
@@ -83,8 +84,12 @@ def test_parse_errors_carry_line_numbers():
         parse_cap("0 0 0\n", PG24)
     with pytest.raises(DuplicatePointError, match="line 2"):
         parse_cap("2 0 0\n1 0 0\n", PG24)  # both normalize to (1,0,0)
+    with pytest.raises(BadCoordinateError, match="line 1: non-integer coordinate"):
+        parse_cap("1 0 x\n", PG24)
     with pytest.raises(BadCoordinateError, match="line 1"):
         parse_cap("zz\n", PG24)
+    with pytest.raises(WrongArityError, match="line 2: expected a single hex code"):
+        parse_cap("10\n4 0\n", PG24)  # the first line made the file packed
     with pytest.raises(ZeroVectorError):
         parse_cap("0\n", PG24)
     with pytest.raises(OutOfRangeError):
@@ -96,6 +101,8 @@ def test_write_cap_anchors(frame3):
     assert write_cap(parse_cap("1 0 0\n", PG24), fmt="packed") == "10\n"
     out = write_cap(frame3, header=True)
     assert out.startswith("# PG(2,4)\n")
+    with pytest.raises(ValueError, match="unknown format 'bogus'"):
+        write_cap(frame3, fmt="bogus")
 
 
 @pytest.mark.parametrize("fmt", ["text", "packed"])
@@ -443,6 +450,7 @@ def test_random_cap_deterministic():
     b = random_cap(g, 10, seed=4)
     assert a.points == b.points and a.n == 10
     assert validate_cap(a) is None
+    assert random_cap(g, 0, seed=4).points == ()
 
 
 # ---------------------------------------------------------------------------

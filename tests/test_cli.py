@@ -302,6 +302,19 @@ def test_extend_64_bit_codes_exits_4(tmp_path, capsys):
     assert "bound exceeded" in err
 
 
+@pytest.mark.parametrize(
+    "options", [[], ["--shards", "4", "--workers", "2"], ["--algorithm", "naive"]], ids=["fast", "split", "naive"]
+)
+def test_check_past_the_point_flag_bound_exits_4(tmp_path, capsys, options):
+    """PG(7,256) has 7.2e16 points: their flags are refused before any is allocated."""
+    p = tmp_path / "three.hex"
+    p.write_text("1\n100\n10000\n")
+    code, out, err = run_cli(["check", "--geometry", "7,256", *options, str(p)], capsys)
+    assert code == 4 and not out
+    flags = Geometry(7, 256).point_count
+    assert err == f"capcheck: bound exceeded: PG(7,256) needs {flags} bytes of per-point flags (> {1 << 31})\n"
+
+
 def test_check_output_file(frame4_file, tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -422,10 +435,14 @@ def test_quantum_wrong_field(tmp_path, capsys):
         ["check", "--geometry", "2,4", "--algorithm", "naive", "--workers", "2"],
         ["check", "--geometry", "2,4", "--algorithm", "oracle", "--shards", "4"],
         ["check", "--geometry", "2,4", "--algorithm", "oracle", "--workers", "2"],
+        ["check", "--geometry", "2,4", "--shards", "abc"],  # not an integer
     ],
 )
 def test_usage_errors_exit_3(argv, capsys, monkeypatch, hyperoval):
-    assert run_cli(argv, capsys, monkeypatch, stdin=write_cap(hyperoval))[0] == 3
+    code, _, err = run_cli(argv, capsys, monkeypatch, stdin=write_cap(hyperoval))
+    assert code == 3 and "error: " in err
+    if "abc" in argv:
+        assert "--shards: expected a positive integer but got 'abc'" in err
 
 
 def test_bench_is_not_a_command(oval_file, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,77 @@ def test_split_rejects_bad_arguments(hyperoval):
         check_split(hyperoval, 0)
     with pytest.raises(ValueError):
         check_split(hyperoval, 2, workers=0)
+
+
+def test_split_runs_at_most_the_window_cap(monkeypatch):
+    """More shards than 2^_MAX_WINDOW_BITS run that many windows; the report keeps the request."""
+    import capcheck.completeness as completeness_mod
+    import capcheck.coverage as coverage_mod
+
+    g = Geometry(3, 4)
+    c = greedy_extend(Cap(g, ()), order_seed=3)
+    base = check_fast(c)
+    maps = []
+    init = coverage_mod.CoverageMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        maps.append((self.lo, self.hi))
+
+    monkeypatch.setattr(coverage_mod.CoverageMap, "__init__", counting_init)
+    monkeypatch.setattr(completeness_mod, "_MAX_WINDOW_BITS", 2)
+    for shards in (4, 5, 64, 1 << 20):
+        maps.clear()
+        rep = check_split(c, shards)
+        assert maps == [(0, 64), (64, 128), (128, 192), (192, 256)]
+        assert reports_agree(base, rep) and rep.marks_issued == base.marks_issued
+        assert rep.shards == shards and rep.peak_coverage_bytes == 8
+
+
+@pytest.mark.parametrize("cap, workers, want", [(3, 10, 3), (64, 3, 3), (64, 2, 2), (None, 1 << 20, 64)])
+def test_split_starts_at_most_the_worker_cap(monkeypatch, cap, workers, want):
+    """The pool is asked for min(workers, windows, _MAX_WORKERS) threads; none is started here."""
+    import capcheck.completeness as completeness_mod
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    if cap is not None:
+        monkeypatch.setattr(completeness_mod, "_MAX_WORKERS", cap)
+    monkeypatch.setattr(completeness_mod, "ThreadPoolExecutor", SerialPool)
+    c = greedy_extend(Cap(Geometry(3, 4), ()), order_seed=3)
+    rep = check_split(c, 1 << 20, workers)  # 256 windows, one a code
+    assert asked == [want]
+    assert reports_agree(check_fast(c), rep) and rep.peak_coverage_bytes == want
+
+
+@pytest.mark.parametrize(
+    "checker", [check_fast, lambda c: check_split(c, 4, 2), check_naive], ids=["fast", "split", "naive"]
+)
+def test_point_flags_past_the_bound_allocate_nothing(checker):
+    """PG(7,256): a flag byte for each of its 7.2e16 points is refused before anything is built."""
+    g = Geometry(7, 256)
+    c = Cap(g, (1, 1 << 8, 1 << 16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryTooLargeError, match=rf"PG\(7,256\) needs {g.point_count} bytes of per-point flags"):
+            checker(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_peak_bytes_formulas():

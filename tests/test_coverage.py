@@ -51,6 +51,8 @@ def test_window_map_takes_marks_only_through_a_stage(hyperoval):
 def test_full_span_flag():
     assert CoverageMap(PG24).is_full_span
     assert not CoverageMap(PG24, lo=0, hi=32).is_full_span
+    with pytest.raises(ValueError, match=r"bad window \[5, 3\) for span 64"):
+        CoverageMap(PG24, 5, 3)
 
 
 def test_memory_bound_enforced():

@@ -72,6 +72,14 @@ def test_decode_errors():
         decode_point(0, PG24)
     with pytest.raises(OutOfRangeError):
         decode_point(64, PG24)
+    with pytest.raises(ZeroVectorError, match="zero vector has no leading coefficient"):
+        leading_coefficient(0, PG24)
+    with pytest.raises(ZeroVectorError, match="code 0 is not a point"):
+        index_of_point(0, PG24)
+    with pytest.raises(OutOfRangeError, match=r"code 64 outside \[1, 64\)"):
+        index_of_point(64, PG24)
+    with pytest.raises(OutOfRangeError, match="code 32 is not normalized"):
+        index_of_point(32, PG24)  # (0, w, 0)
 
 
 @pytest.mark.parametrize("g,ref", [(PG22, RefField(1, 2)), (Geometry(1, 4), REF4), (PG24, REF4)])
@@ -111,6 +119,8 @@ def test_scalar_mul_errors():
 
     with pytest.raises(ZeroScalarError):
         scalar_mul_point(0, 16, PG24)
+    with pytest.raises(ZeroScalarError, match="scalar multiple by 0"):
+        scalar_mul_codes(0, np.array([16], dtype=np.uint64), PG24)
 
 
 def test_normalize_anchors():
@@ -241,6 +251,10 @@ def test_geometry_identities():
         assert g.point_count * (q - 1) == g.code_span - 1
         assert g.code_bits == g.k * (r + 1)
     assert Geometry(12, 4).label == "PG(12,4)"
+    assert Geometry(3, 8) == Geometry(3, 8) and hash(Geometry(3, 8)) == hash(Geometry(3, 8))
+    assert Geometry(3, 8) != Geometry(3, 8, 13)  # x^3+x^2+1, the other cubic
+    assert Geometry(3, 8).__eq__("PG(3,8)") is NotImplemented
+    assert Geometry(3, 8) != "PG(3,8)"
 
 
 def test_geometry_rejects_bad_parameters():

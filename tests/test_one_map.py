@@ -49,12 +49,13 @@ def test_extend_marks_once(counted, size):
 
 
 def test_extend_from_fewer_than_two_points_marks_nothing(counted):
+    """No secants to mark: growth starts on a zeroed byte map, and no bit-map is built."""
     maps, marked = counted
     g = Geometry(3, 4)
     for start in [(), greedy_extend(Cap(g, ()), 0).points[:1]]:
         maps.clear()
-        greedy_extend(Cap(g, start), order_seed=4)
-        assert len(maps) == 1 and not marked
+        assert greedy_extend(Cap(g, start), order_seed=4).points[: len(start)] == start
+        assert not maps and not marked
 
 
 def test_cli_extend_builds_one_map(cap_file, counted, capsys):
