@@ -7,8 +7,8 @@ sharded checker, which also decides the cap property from its marks
 and, on a non-cap, prints the collinear triple found from them.
 The coverage windows bound the bit-map memory: with --shards 32
 --workers 4 the bit-maps alive at any moment total 1 MiB instead of the
-full 8 MiB, next to one 1 MiB marking stage per worker.  The per-point
-covered flags (22 MB) are not split.  Each window forms only its own
+full 8 MiB, next to one 1 MiB marking stage per worker.  The covered
+flags, a bit per point (2.7 MiB), are not split.  Each window forms only its own
 secant codes, so the shard count costs little time.  Growing the cap
 holds a byte per code (64 MiB) until it is complete.  Examples:
 

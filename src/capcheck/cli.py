@@ -170,9 +170,9 @@ def _report_human(rep: CompletenessReport, g: Geometry, all_witnesses: bool) -> 
     ]
     if not rep.complete:
         lines.append(f"uncovered_count: {rep.uncovered_count}")
-        shown = rep.uncovered if all_witnesses else rep.uncovered[:WITNESS_CAP]
-        for u in shown:
-            lines.append(f"  uncovered {int(u):#x} {_coords(int(u), g)}")
+        shown = rep.uncovered if all_witnesses else rep.witnesses(WITNESS_CAP)
+        for u in shown.tolist():
+            lines.append(f"  uncovered {u:#x} {_coords(u, g)}")
         if not all_witnesses and rep.uncovered_count > WITNESS_CAP:
             lines.append(f"  ... {rep.uncovered_count - WITNESS_CAP} more")
     return "\n".join(lines)

@@ -244,20 +244,32 @@ def index_of_point(code: int, g: Geometry) -> int:
 # ---------------------------------------------------------------------------
 
 
-def scalar_mul_codes(alpha: int, codes: np.ndarray, g: Geometry) -> np.ndarray:
+def scalar_mul_codes(alpha: int | np.ndarray, codes: np.ndarray, g: Geometry) -> np.ndarray:
     """Vectorized scalar_mul_point over a uint64 code array of any shape.
 
+    alpha is one scalar, or an integer array of them shaped like codes.
     The XOR of one g.split_tables lookup per code byte: the split tables
     of Plank, Greenan and Miller (FAST 2013).
     """
-    if alpha == 0:
+    if isinstance(alpha, np.ndarray):
+        if not alpha.all():
+            raise ZeroScalarError("scalar multiple by 0")
+    elif alpha == 0:
         raise ZeroScalarError("scalar multiple by 0")
-    if alpha == 1:
+    elif alpha == 1:
         return codes.copy()
-    tables = g.split_tables[alpha]
     octets = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8).reshape(codes.shape + (8,))
+    nbytes = g.split_tables.shape[1]
+    if isinstance(alpha, np.ndarray):
+        # each code's row of the tables, read from their flat form
+        flat, rows = g.split_tables.reshape(-1), alpha.astype(np.intp) * (nbytes << 8)
+        out = flat.take(rows + octets[..., 0])
+        for i in range(1, nbytes):
+            out ^= flat.take(rows + (i << 8) + octets[..., i])
+        return out
+    tables = g.split_tables[alpha]
     out = tables[0].take(octets[..., 0])
-    for i in range(1, tables.shape[0]):
+    for i in range(1, nbytes):
         out ^= tables[i].take(octets[..., i])
     return out
 

@@ -199,6 +199,48 @@ def test_tiny_stages_keep_the_four_checkers_in_agreement(monkeypatch, corpus, co
     assert checked >= 400
 
 
+def test_small_scan_chunks_keep_the_checkers_in_agreement(monkeypatch, corpus, corpus_reports):
+    """Scan chunks of q codes (4 when q = 2), so every geometry has strips read in many chunks.
+
+    Each chunk's bits are staged at its image, alpha^-1 times its offset
+    in the strip; the chunks narrower than a byte start off the byte grid.
+    """
+    import capcheck.completeness as completeness_mod
+
+    monkeypatch.setattr(completeness_mod, "_SCAN_BITS", 2)
+    checked = 0
+    for entry, reps in zip(corpus, corpus_reports):
+        c = entry.cap
+        g = c.geometry
+        if g.code_bits > 12:  # PG(4,8): 4096 chunks a check, slow here
+            continue
+        flags = completeness_mod.PointFlags(g)
+        assert flags.chunk_bits == max(2, g.k) and flags.head <= 2 < g.r + 1
+        for rep in (check_fast(c), check_split(c, 3, 2), check_split(c, 16, 2)):
+            assert reports_agree(rep, reps["naive"]) and reports_agree(rep, reps["oracle"])
+            assert rep.uncovered_count == reps["oracle"].uncovered_count
+        checked += 1
+    assert checked >= 400
+
+
+def test_check_memory_is_bounded_by_its_maps():
+    """A 50-cap of PG(9,4) leaves 345812 of 349525 points uncovered; the report of ten holds none of them."""
+    import capcheck.coverage as coverage_mod
+
+    g = Geometry(9, 4)
+    c = random_cap(g, 50, seed=0)
+    check_fast(c)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        d = check_fast(c).to_json_dict(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d["uncovered_count"] == 345812 and len(d["uncovered_sample"]) == 10
+    bitmap, stage, flags = g.code_span // 8, 1 << coverage_mod._STAGE_BITS, g.point_count // 8
+    assert peak < bitmap + stage + flags + (1 << 19)
+
+
 def test_split_workers_share_flags_without_losing_any():
     """More workers than cores, switching threads often: no covered flag lost."""
     import sys
@@ -277,15 +319,18 @@ def test_split_starts_at_most_the_worker_cap(monkeypatch, cap, workers, want):
 
 
 @pytest.mark.parametrize(
-    "checker", [check_fast, lambda c: check_split(c, 4, 2), check_naive], ids=["fast", "split", "naive"]
+    "checker, flag_bits",
+    [(check_fast, 1), (lambda c: check_split(c, 4, 2), 1), (check_naive, 8)],
+    ids=["fast", "split", "naive"],
 )
-def test_point_flags_past_the_bound_allocate_nothing(checker):
-    """PG(7,256): a flag byte for each of its 7.2e16 points is refused before anything is built."""
+def test_point_flags_past_the_bound_allocate_nothing(checker, flag_bits):
+    """PG(7,256): a flag bit (fast, split) or byte (naive) for each of its 7.2e16 points is refused before anything is built."""
     g = Geometry(7, 256)
     c = Cap(g, (1, 1 << 8, 1 << 16))
+    nbytes = -(-g.point_count * flag_bits // 8)
     tracemalloc.start()
     try:
-        with pytest.raises(GeometryTooLargeError, match=rf"PG\(7,256\) needs {g.point_count} bytes of per-point flags"):
+        with pytest.raises(GeometryTooLargeError, match=rf"PG\(7,256\) needs {nbytes} bytes of per-point flags"):
             checker(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -121,6 +121,8 @@ def test_scalar_mul_errors():
         scalar_mul_point(0, 16, PG24)
     with pytest.raises(ZeroScalarError, match="scalar multiple by 0"):
         scalar_mul_codes(0, np.array([16], dtype=np.uint64), PG24)
+    with pytest.raises(ZeroScalarError, match="scalar multiple by 0"):
+        scalar_mul_codes(np.array([1, 0]), np.array([16, 17], dtype=np.uint64), PG24)
 
 
 def test_normalize_anchors():
@@ -223,7 +225,8 @@ def test_points_by_index_matches_scalar():
 def test_scalar_mul_codes_matches_scalar(q):
     """Every k <= 8 (coordinates straddling bytes at k = 3, 5, 6, 7), at
     r = 2 and at the widest r whose codes fit 64 bits (exactly 64 for
-    q = 2, 4, 16, 256); flat, strided and 2-D inputs."""
+    q = 2, 4, 16, 256); flat, strided and 2-D inputs; one scalar, or
+    one per code."""
     k = q.bit_length() - 1
     rng = np.random.default_rng(q)
     for r in (2, 64 // k - 1):
@@ -235,6 +238,13 @@ def test_scalar_mul_codes_matches_scalar(q):
                 got = scalar_mul_codes(alpha, x, g)
                 assert got.shape == x.shape
                 assert got.ravel().tolist() == [scalar_mul_point(alpha, int(c), g) for c in x.ravel()]
+            # one scalar per code
+            alphas = rng.integers(1, q - 1, size=x.shape, endpoint=True)
+            got = scalar_mul_codes(alphas, x, g)
+            assert got.shape == x.shape
+            assert got.ravel().tolist() == [
+                scalar_mul_point(int(a), int(c), g) for a, c in zip(alphas.ravel(), x.ravel())
+            ]
 
 
 @pytest.mark.parametrize("r,q", [(7, 256), (15, 16), (31, 4), (63, 2)])
