@@ -24,7 +24,8 @@ split   the fast checker over the next power of two >= shards windows
         count.  At most 2^16 windows run, on at most 64 threads.
 
 Fast and split hold a covered bit per point (PointFlags), 2.7 MiB for
-PG(12,4), besides their maps.  They count the uncovered points by
+PG(12,4), besides their maps; split holds a copy per worker, ORed into
+one when the workers are done.  They count the uncovered points by
 popcount and build them only when asked: a report's witnesses are read
 off the bits block by block, and `uncovered` holds them all once read.
 
@@ -36,7 +37,6 @@ the test suite holds them to that.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ import numpy as np
 
 from .cap import Cap, CapViolation, _collinear_triple
 from .coverage import (DEFAULT_MAX_COVERAGE_BYTES, CoverageMap, SecantClusters, check_secant_counts,
-                       mark_pair_secants, multiples_table)
+                       mark_pair_secants, multiples_table, require_map_fits)
 from .errors import GeometryTooLargeError
 from .geometry import (  # noqa: F401  points_by_index: the benchmark's tracer wraps it here
     Geometry,
@@ -170,9 +170,9 @@ class PointFlags:
     Bit s of blocks[d] (little bit order) stands for the point q^d + s.
     The blocks lie one after another in `bits`, each from a byte
     boundary, so a run of points aligned to 8 in its block packs onto
-    whole bytes.  Bits are only ever set; windows on several threads OR
-    into the same bytes, under `lock`, as numpy may release the
-    interpreter lock during an OR.
+    whole bytes.  Bits are only ever set.  One thread writes an object:
+    each worker of check_split scans its windows into its own, and the
+    copies are ORed once the workers are done.
 
     The scan reads a window's marks in chunks of q^m codes, 2^chunk_bits
     at most.  The strips of the first `head` blocks are the codes below
@@ -182,7 +182,7 @@ class PointFlags:
     bit of the point q^d in `bits` minus q^d.
     """
 
-    __slots__ = ("geometry", "bits", "blocks", "lock", "chunk_bits", "head", "head_lo", "head_inv",
+    __slots__ = ("geometry", "bits", "blocks", "chunk_bits", "head", "head_lo", "head_inv",
                  "head_shift", "head_bytes", "_starts", "_offsets")
 
     def __init__(self, g: Geometry):
@@ -191,7 +191,6 @@ class PointFlags:
         self.geometry = g
         self.bits = np.zeros(int(ends[-1]), dtype=np.uint8)
         self.blocks = [self.bits[end - size : end] for size, end in zip(sizes, ends)]
-        self.lock = threading.Lock()
         self.chunk_bits = g.k * max(1, round(_SCAN_BITS / g.k))
         self.head = min(g.r + 1, self.chunk_bits // g.k)
         self.head_bytes = int(ends[self.head - 1])
@@ -207,9 +206,8 @@ class PointFlags:
         d = np.searchsorted(self._starts, codes, side="right") - 1
         pos = self._offsets[d] + (codes - self._starts[d])
         at, masks = (pos >> np.uint64(3)).astype(np.intp), np.left_shift(1, pos & np.uint64(7)).astype(np.uint8)
-        with self.lock:
-            was = (self.bits[at] & masks) != 0
-            np.bitwise_or.at(self.bits, at, masks)
+        was = (self.bits[at] & masks) != 0
+        np.bitwise_or.at(self.bits, at, masks)
         return was
 
     def merge(self, dest: np.ndarray, pos: np.ndarray, lo: int, size: int, stage: np.ndarray) -> None:
@@ -223,8 +221,7 @@ class PointFlags:
         buf[pos.view(np.intp) - (first << 3)] = 1
         packed = np.packbits(buf, bitorder="little")
         buf[:] = 0
-        with self.lock:
-            dest[first : first + packed.size] |= packed
+        dest[first : first + packed.size] |= packed
 
     def uncovered_count(self) -> int:
         """Points whose bit is clear, by popcount."""
@@ -295,39 +292,45 @@ def check_fast(c: Cap) -> CompletenessReport:
 def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
     """Fast checker over the next power of two >= `shards` windows; same report for any (shards, workers).
 
-    At most 2^16 windows run, on at most 64 threads: each window replays
-    the clustering of every pair (1024 windows of a PG(10,4) 1500-cap
-    take 11.8 s on a 2-vCPU Xeon), and the pool starts a thread per
-    window handed to it while none is idle.
+    Worker i scans the windows i, i + workers, ... into its own covered
+    bits; the workers' bits are ORed once they are all done.  At most
+    2^16 windows run, on at most 64 workers: each window replays the
+    clustering of every pair (1024 windows of a PG(10,4) 1500-cap take
+    11.8 s on a 2-vCPU Xeon), and each worker holds a copy of the bits.
     """
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
     t0 = time.perf_counter()
     g = c.geometry
-    _require_point_flags(g, sum(_flag_block_bytes(g)))
-    codes = c.codes()
-    mult = multiples_table(codes, g)
     # 2^bits >= shards windows, each a whole number of clusters
     bits = min(g.code_bits, _MAX_WINDOW_BITS, (shards - 1).bit_length())
     width = g.code_span >> bits
-    windows = [(lo, lo + width) for lo in range(0, g.code_span, width)]
-    workers = min(workers, len(windows), _MAX_WORKERS)
+    workers = min(workers, 1 << bits, _MAX_WORKERS)
+    _require_point_flags(g, sum(_flag_block_bytes(g)), workers)
+    require_map_fits(width)
+    codes = c.codes()
+    mult = multiples_table(codes, g)
     clusters = SecantClusters(mult, codes, g, bits)
-    flags = PointFlags(g)
 
-    def run_window(window: tuple[int, int]) -> tuple[int, int]:
-        cov = CoverageMap(g, window[0], window[1])
-        counts = mark_pair_secants(cov, mult, codes, clusters)
-        _scan_window(cov, flags)
-        return counts
+    def run_worker(i: int) -> tuple[PointFlags, int, int]:
+        flags = PointFlags(g)
+        pairs = marks = 0
+        for lo in range(i * width, g.code_span, workers * width):
+            cov = CoverageMap(g, lo, lo + width)
+            p, m = mark_pair_secants(cov, mult, codes, clusters)
+            _scan_window(cov, flags)
+            pairs, marks = pairs + p, marks + m
+        return flags, pairs, marks
 
     if workers == 1:
-        counts = [run_window(w) for w in windows]
+        results = [run_worker(0)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_window, windows))
-    pairs = sum(p for p, _ in counts)
-    marks = sum(m for _, m in counts)
+            results = list(pool.map(run_worker, range(workers)))
+    flags, pairs, marks = results[0]
+    for other, p, m in results[1:]:
+        flags.bits |= other.bits
+        pairs, marks = pairs + p, marks + m
     check_secant_counts(c.n, g.q, pairs, marks)
     # a cap point on a secant makes a collinear triple; cap points are never uncovered
     on_secant = np.flatnonzero(flags.test_and_set(codes)).tolist()
@@ -335,11 +338,16 @@ def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
     return _finish(c, on_secant, flags, pairs, marks, "fast", shards, peak, t0)
 
 
-def _require_point_flags(g: Geometry, nbytes: int) -> None:
-    """Raise GeometryTooLargeError, allocating nothing, unless nbytes of per-point flags are within the bound."""
+def _require_point_flags(g: Geometry, nbytes: int, copies: int = 1) -> None:
+    """Raise GeometryTooLargeError, allocating nothing, unless `copies` of nbytes of per-point flags are within the bound."""
     if nbytes > DEFAULT_MAX_COVERAGE_BYTES:
         raise GeometryTooLargeError(
             f"{g.label} needs {nbytes} bytes of per-point flags (> {DEFAULT_MAX_COVERAGE_BYTES})"
+        )
+    if copies * nbytes > DEFAULT_MAX_COVERAGE_BYTES:
+        raise GeometryTooLargeError(
+            f"{g.label} needs {copies} x {nbytes} bytes of per-point flags, a copy per worker "
+            f"(> {DEFAULT_MAX_COVERAGE_BYTES}); lower the worker count"
         )
 
 

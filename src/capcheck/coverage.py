@@ -38,6 +38,15 @@ _ONESHOT_LIMIT = 1 << 15
 _STAGE_BITS = 20
 
 
+def require_map_fits(width: int) -> None:
+    """Raise GeometryTooLargeError, allocating nothing, unless a bit-map of `width` codes is within the bound."""
+    nbytes = -(-width // 8)
+    if nbytes > DEFAULT_MAX_COVERAGE_BYTES:
+        raise GeometryTooLargeError(
+            f"coverage window needs {nbytes} bytes (> {DEFAULT_MAX_COVERAGE_BYTES}); raise the shard count"
+        )
+
+
 class CoverageMap:
     """Bit array over the raw codes in [lo, hi)."""
 
@@ -48,16 +57,12 @@ class CoverageMap:
             hi = g.code_span
         if not 0 <= lo < hi <= g.code_span:
             raise ValueError(f"bad window [{lo}, {hi}) for span {g.code_span}")
-        nbytes = -(-(hi - lo) // 8)
-        if nbytes > DEFAULT_MAX_COVERAGE_BYTES:
-            raise GeometryTooLargeError(
-                f"coverage window needs {nbytes} bytes (> {DEFAULT_MAX_COVERAGE_BYTES}); raise the shard count"
-            )
+        require_map_fits(hi - lo)
         self.geometry = g
         self.lo = lo
         self.hi = hi
-        self.nbytes = nbytes
-        self._bits = np.zeros(nbytes, dtype=np.uint8)
+        self.nbytes = -(-(hi - lo) // 8)
+        self._bits = np.zeros(self.nbytes, dtype=np.uint8)
         self._stage: _Stage | None = None
 
     @property

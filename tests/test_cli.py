@@ -316,6 +316,16 @@ def test_check_past_the_point_flag_bound_exits_4(tmp_path, capsys, options):
     assert err == f"capcheck: bound exceeded: PG(7,256) needs {flags} bytes of per-point flags (> {1 << 31})\n"
 
 
+@pytest.mark.parametrize("options, nbytes", [([], 1 << 33), (["--shards", "2"], 1 << 32)], ids=["fast", "split"])
+def test_check_past_the_window_bound_exits_4(tmp_path, capsys, options, nbytes):
+    """PG(11,8): the covered bits fit, an 8 or 4 GiB window map does not."""
+    p = tmp_path / "three.hex"
+    p.write_text("1\n8\n40\n")
+    code, out, err = run_cli(["check", "--geometry", "11,8", *options, str(p)], capsys)
+    assert code == 4 and not out
+    assert err == f"capcheck: bound exceeded: coverage window needs {nbytes} bytes (> {1 << 31}); raise the shard count\n"
+
+
 def test_check_output_file(frame4_file, tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -27,7 +27,7 @@ from capcheck import (
     validate_cap,
 )
 from oracles import RefField, covered
-from product_caps import affine_cap, product_cap
+from product_caps import affine_cap, elliptic_quadric, product_cap, projective_product
 
 ALL_CHECKERS = [check_fast, check_naive, check_oracle]
 
@@ -241,13 +241,24 @@ def test_check_memory_is_bounded_by_its_maps():
     assert peak < bitmap + stage + flags + (1 << 19)
 
 
-def test_split_workers_share_flags_without_losing_any():
-    """More workers than cores, switching threads often: no covered flag lost."""
+def test_split_workers_write_their_own_flags(monkeypatch):
+    """More workers than cores, switching threads often: each covered-bit array has one writing thread."""
     import sys
+    import threading
+
+    import capcheck.completeness as completeness_mod
+
+    writers = {}  # id -> (flags, threads); holding flags keeps its id from being reused
+    merge = completeness_mod.PointFlags.merge
+
+    def recording(self, *args):
+        writers.setdefault(id(self), (self, set()))[1].add(threading.get_ident())
+        return merge(self, *args)
 
     g = Geometry(6, 4)
     c = random_cap(g, 60, seed=9)
     base = check_fast(c)
+    monkeypatch.setattr(completeness_mod.PointFlags, "merge", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -255,6 +266,8 @@ def test_split_workers_share_flags_without_losing_any():
             assert reports_agree(base, check_split(c, 64, 8))
     finally:
         sys.setswitchinterval(interval)
+    assert len(writers) > 5  # more than one per check
+    assert all(len(threads) == 1 for _, threads in writers.values())
 
 
 def test_split_rejects_bad_arguments(hyperoval):
@@ -335,6 +348,41 @@ def test_point_flags_past_the_bound_allocate_nothing(checker, flag_bits):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _traced_peak(call) -> tuple[int, str]:
+    """The tracemalloc peak of call(), which must raise GeometryTooLargeError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryTooLargeError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, str(info.value)
+
+
+@pytest.mark.parametrize(
+    "r, q, checker",
+    [(11, 8, check_fast), (11, 8, lambda c: check_split(c, 2, 1)), (8, 16, check_fast)],
+    ids=["fast-PG(11,8)", "split-PG(11,8)", "fast-PG(8,16)"],
+)
+def test_window_past_the_bound_allocates_nothing(r, q, checker):
+    """The covered bits fit (1.23 GB at PG(11,8), 573 MB at PG(8,16)), an 8 or 4 GiB window map does not: refused first."""
+    g = Geometry(r, q)
+    c = Cap(g, (1, q, q * q))
+    peak, message = _traced_peak(lambda: checker(c))
+    assert message.startswith("coverage window needs") and message.endswith("raise the shard count")
+    assert peak < 1 << 20
+
+
+def test_every_workers_flags_count_toward_the_bound():
+    """PG(11,8) in 4 windows of 2 GiB: one copy of its 1.23 GB of covered bits fits, one per worker for 2 does not."""
+    g = Geometry(11, 8)
+    c = Cap(g, (1, 8, 64))
+    peak, message = _traced_peak(lambda: check_split(c, 4, 2))
+    assert message.startswith(f"PG(11,8) needs 2 x {-(-g.point_count // 8)} bytes of per-point flags, a copy per worker")
     assert peak < 1 << 20
 
 
@@ -476,6 +524,22 @@ def test_product_caps(checker_reports):
         for name, rep in reps.items():
             assert (rep.uncovered_count, rep.violation) == (uncovered, want), name
             assert reports_agree(rep, reps["oracle"]), name
+
+
+def test_projective_product_cap():
+    """The ovoid of PG(3,4) times the affine 16-cap of AG(3,4): a 272-cap of PG(6,4) leaving 61 points uncovered."""
+    g3 = Geometry(3, 4)
+    for c, size in ((1, 25), (2, 17), (3, 17)):
+        quadric = elliptic_quadric(c)
+        assert len(quadric) == size
+        assert (validate_cap(Cap(g3, tuple(encode_point(x, g3) for x in quadric))) is None) == (size == 17)
+    c272 = projective_product(elliptic_quadric(2), affine_cap(3, 4, seed=6), 4)
+    assert (c272.n, c272.geometry.label) == (272, "PG(6,4)")
+    assert validate_cap(c272) is None
+    fast = check_fast(c272)
+    assert fast.uncovered_count == 61 and fast.is_cap
+    for rep in (check_split(c272, 16, 2), check_naive(c272)):
+        assert reports_agree(fast, rep) and rep.pairs_processed == fast.pairs_processed
 
 
 def test_non_cap_report_leaves_out_its_points(pg24):
