@@ -4,12 +4,14 @@ Three interchangeable checkers plus a sharded variant:
 
 fast    marks the raw (non-normalized) code of every combination
         alpha*P1 + P2 in a bit-map over the whole code range, then
-        reads the marked codes back and sets the covered bit of the
-        point each is a multiple of, by one split-table multiply
-        (geometry.py).  The codes are formed in clusters of at most
-        2^20 by their top bits, each staged a byte per code in cache
-        and packed into the map once (coverage.py).  No normalization
-        anywhere on the hot path.
+        reads the map back in aligned chunks and sets the covered bit
+        of every point with a marked multiple.  Scaling acts on each
+        coordinate alone, so a chunk of a strip of alpha-multiples,
+        read through one fixed permutation per alpha, is the covered
+        bits of one run of points.  The codes are formed in clusters
+        of at most 2^20 by their top bits, each staged a byte per code
+        in cache and packed into the map once (coverage.py).  No
+        normalization anywhere on the hot path.
 naive   the baseline it replaces: normalizes every generated point and
         marks a byte per normalized point.
 oracle  the definition, point by point, with no coverage map at all;
@@ -18,7 +20,7 @@ split   the fast checker over the next power of two >= shards windows
         of the code range, one bit-map per window and one alive per
         worker.  Each window holds whole clusters of the generators by
         top code bits (coverage.py), so it forms only the secant codes
-        that land in it and reads back only its own marked codes.
+        that land in it and scans only its own codes.
         Verdict, uncovered set and counters are identical to fast for
         every (shards, workers); the report keeps the requested shard
         count.  At most 2^16 windows run, on at most 64 threads.
@@ -62,8 +64,8 @@ from .geometry import (  # noqa: F401  points_by_index: the benchmark's tracer w
 ORACLE_POINT_LIMIT = 1_000_000
 _MAX_WINDOW_BITS = 16
 _MAX_WORKERS = 64
-# about 2^this codes per scan step, rounded to a power of q: its uint64
-# temporaries stay in the L2 cache
+# a scan chunk holds about 2^this codes, rounded to a power of q: its
+# gather table, 8 bytes a code, stays in the L2 cache
 _SCAN_BITS = 14
 # covered bits unpacked per run of witnesses
 _WITNESS_RUN_BYTES = 1 << 12
@@ -169,21 +171,12 @@ class PointFlags:
 
     Bit s of blocks[d] (little bit order) stands for the point q^d + s.
     The blocks lie one after another in `bits`, each from a byte
-    boundary, so a run of points aligned to 8 in its block packs onto
-    whole bytes.  Bits are only ever set.  One thread writes an object:
+    boundary.  Bits are only ever set.  One thread writes an object:
     each worker of check_split scans its windows into its own, and the
     copies are ORed once the workers are done.
-
-    The scan reads a window's marks in chunks of q^m codes, 2^chunk_bits
-    at most.  The strips of the first `head` blocks are the codes below
-    2^chunk_bits, read at once; their bits are the first head_bytes of
-    `bits`.  For each of those strips [alpha*q^d, (alpha+1)*q^d),
-    head_lo, head_inv and head_shift hold its start, alpha^-1, and the
-    bit of the point q^d in `bits` minus q^d.
     """
 
-    __slots__ = ("geometry", "bits", "blocks", "chunk_bits", "head", "head_lo", "head_inv",
-                 "head_shift", "head_bytes", "_starts", "_offsets")
+    __slots__ = ("geometry", "bits", "blocks", "_starts", "_offsets")
 
     def __init__(self, g: Geometry):
         sizes = _flag_block_bytes(g)
@@ -191,15 +184,8 @@ class PointFlags:
         self.geometry = g
         self.bits = np.zeros(int(ends[-1]), dtype=np.uint8)
         self.blocks = [self.bits[end - size : end] for size, end in zip(sizes, ends)]
-        self.chunk_bits = g.k * max(1, round(_SCAN_BITS / g.k))
-        self.head = min(g.r + 1, self.chunk_bits // g.k)
-        self.head_bytes = int(ends[self.head - 1])
         self._starts = np.array([1 << (g.k * d) for d in range(g.r + 1)], dtype=np.uint64)
         self._offsets = (ends - sizes).astype(np.uint64) << np.uint64(3)
-        starts = self._starts[: self.head]
-        self.head_lo = (starts[:, None] * np.arange(1, g.q, dtype=np.uint64)).ravel()
-        self.head_inv = np.array([g.field.inv(alpha) for alpha in g.field.nonzero_elements()] * self.head)
-        self.head_shift = np.repeat(self._offsets[: self.head].astype(np.int64) - starts.astype(np.int64), g.q - 1)
 
     def test_and_set(self, codes: np.ndarray) -> np.ndarray:
         """Set the bits of normalized codes; returns whether each was set before."""
@@ -210,18 +196,13 @@ class PointFlags:
         np.bitwise_or.at(self.bits, at, masks)
         return was
 
-    def merge(self, dest: np.ndarray, pos: np.ndarray, lo: int, size: int, stage: np.ndarray) -> None:
-        """Set bits pos of dest, a block or `bits`; every pos lies in [lo, lo + size).
-
-        They are stored a byte each into stage, from the byte boundary at
-        or below lo, packed, and ORed into dest at once.
-        """
-        first = lo >> 3
-        buf = stage[: ((lo & 7) + size + 7) & ~7]
-        buf[pos.view(np.intp) - (first << 3)] = 1
-        packed = np.packbits(buf, bitorder="little")
-        buf[:] = 0
-        dest[first : first + packed.size] |= packed
+    def set_run(self, d: int, run: int, covered: np.ndarray) -> None:
+        """Set the bit of the point q^d + run + i of block d wherever covered[i], a byte per point, is 1."""
+        block = self.blocks[d]
+        first, end = run >> 3, -(-(run + covered.size) // 8)
+        bits = np.unpackbits(block[first:end], bitorder="little")
+        bits[run & 7 : (run & 7) + covered.size] |= covered
+        block[first:end] = np.packbits(bits, bitorder="little")
 
     def uncovered_count(self) -> int:
         """Points whose bit is clear, by popcount."""
@@ -245,43 +226,49 @@ class PointFlags:
 # ---------------------------------------------------------------------------
 
 
+def _scan_digits(g: Geometry, width: int) -> int:
+    """m such that the scan reads q^m codes at a time: about 2^_SCAN_BITS, at most `width`."""
+    return min(max(1, round(_SCAN_BITS / g.k)), (width.bit_length() - 1) // g.k)
+
+
 def _scan_window(cov: CoverageMap, flags: PointFlags) -> None:
     """Set the covered bit of every point with a multiple marked in cov.
 
     A code x in the strip [alpha*q^d, (alpha+1)*q^d) is a multiple of
     the block-d point alpha^-1 * x = q^d + s, s = alpha^-1 * (x - alpha*q^d).
-    The strips below one scan chunk (flags.head) are read with one
-    marked_codes call.  A larger strip is read in chunks of q^m codes,
-    aligned in the strip: alpha^-1 maps such a chunk onto one aligned
-    run of q^m values of s, which starts at alpha^-1 times the chunk's
-    offset in the strip, not at that offset.
+    Scaling acts on each coordinate alone, so alpha^-1 maps an aligned
+    chunk of q^m codes of the strip onto the aligned run of q^m values
+    of s that starts at alpha^-1 times the chunk's offset, and bit u of
+    the run is the chunk's bit alpha*u: the chunk's bits read through
+    gather = alpha * [0, q^m), the same for every chunk.  The window
+    is q^m codes wide or more, so for d >= m each strip splits into
+    whole chunks; the blocks d < m lie below q^m, in the window at 0,
+    and are read there in one pass.
     """
     g = cov.geometry
-    stage = np.zeros(max(8 * flags.head_bytes, (1 << flags.chunk_bits) + 8), dtype=np.uint8)
-    lo, hi = max(cov.lo, 1), min(cov.hi, 1 << (g.k * flags.head))
-    if lo < hi:
-        x = cov.marked_codes(lo, hi)
-        if x.size:
-            strip = np.searchsorted(flags.head_lo, x, side="right") - 1
-            points = scalar_mul_codes(flags.head_inv[strip], x, g)
-            pos = points.view(np.int64) + flags.head_shift[strip]
-            flags.merge(flags.bits, pos, 0, 8 * flags.head_bytes, stage)
-    for d in range(flags.head, g.r + 1):
-        base = 1 << (g.k * d)
-        block = flags.blocks[d]
-        for alpha in g.field.nonzero_elements():
-            strip_lo = alpha * base
-            lo, hi = max(cov.lo, strip_lo), min(cov.hi, strip_lo + base)
-            if lo >= hi:
-                continue
-            inv = g.field.inv(alpha)
-            # hi - lo is a power of two, lo - strip_lo a multiple of it
-            size = 1 << (min(flags.chunk_bits, (hi - lo).bit_length() - 1) // g.k * g.k)
-            for start in range(lo, hi, size):
-                x = cov.marked_codes(start, start + size)
-                if x.size:
-                    s = scalar_mul_codes(inv, x - np.uint64(strip_lo), g)
-                    flags.merge(block, s, int(s[0]) & -size, size, stage)
+    m = _scan_digits(g, cov.hi - cov.lo)
+    size = 1 << (g.k * m)
+    # a byte per code below q^m, and which of them have a marked multiple
+    low = cov.bits(0, size) if cov.lo == 0 else None
+    low_covered = np.zeros(size, dtype=np.uint8)
+    for alpha in g.field.nonzero_elements():
+        # the strips [alpha*q^d, (alpha+1)*q^d), d >= m, that meet the window
+        strips = [(d, alpha << (g.k * d)) for d in range(m, g.r + 1)
+                  if cov.lo < (alpha + 1) << (g.k * d) and alpha << (g.k * d) < cov.hi]
+        if low is None and not strips:
+            continue
+        gather = scalar_mul_codes(alpha, np.arange(size, dtype=np.uint64), g).view(np.intp)
+        if low is not None:
+            low_covered |= low[gather]
+        inv = g.field.inv(alpha)
+        for d, strip_lo in strips:
+            lo, hi = max(cov.lo, strip_lo), min(cov.hi, strip_lo + (1 << (g.k * d)))
+            runs = scalar_mul_codes(inv, np.arange(lo - strip_lo, hi - strip_lo, size, dtype=np.uint64), g)
+            for start, run in zip(range(lo, hi, size), runs.tolist()):
+                flags.set_run(d, run, cov.bits(start, start + size)[gather])
+    if low is not None:
+        for d in range(m):
+            flags.set_run(d, 0, low_covered[1 << (g.k * d) : 2 << (g.k * d)])
 
 
 def check_fast(c: Cap) -> CompletenessReport:

@@ -85,12 +85,14 @@ class CoverageMap:
         if not self.is_full_span:
             raise ValueError(f"{what} needs a full-span map, not the window [{self.lo}, {self.hi})")
 
+    def bits(self, lo: int, hi: int) -> np.ndarray:
+        """A byte per code in [lo, hi), 1 where marked; [lo, hi) must lie in the window."""
+        a, b = lo - self.lo, hi - self.lo
+        return np.unpackbits(self._bits[a >> 3 : -(-b // 8)], bitorder="little")[a & 7 : (a & 7) + (b - a)]
+
     def marked_codes(self, lo: int, hi: int) -> np.ndarray:
         """The marked codes in [lo, hi), ascending; [lo, hi) must lie in the window."""
-        a, b = lo - self.lo, hi - self.lo
-        bits = np.unpackbits(self._bits[a >> 3 : -(-b // 8)], bitorder="little")
-        rel = np.flatnonzero(bits[a & 7 : (a & 7) + (b - a)])
-        return rel.astype(np.uint64) + np.uint64(lo)
+        return np.flatnonzero(self.bits(lo, hi)).astype(np.uint64) + np.uint64(lo)
 
 
 class ByteMap:

@@ -202,8 +202,9 @@ def test_tiny_stages_keep_the_four_checkers_in_agreement(monkeypatch, corpus, co
 def test_small_scan_chunks_keep_the_checkers_in_agreement(monkeypatch, corpus, corpus_reports):
     """Scan chunks of q codes (4 when q = 2), so every geometry has strips read in many chunks.
 
-    Each chunk's bits are staged at its image, alpha^-1 times its offset
-    in the strip; the chunks narrower than a byte start off the byte grid.
+    Each chunk's bits are written to its image, the run at alpha^-1 times
+    its offset in the strip; the runs narrower than a byte start off the
+    byte grid.
     """
     import capcheck.completeness as completeness_mod
 
@@ -214,13 +215,37 @@ def test_small_scan_chunks_keep_the_checkers_in_agreement(monkeypatch, corpus, c
         g = c.geometry
         if g.code_bits > 12:  # PG(4,8): 4096 chunks a check, slow here
             continue
-        flags = completeness_mod.PointFlags(g)
-        assert flags.chunk_bits == max(2, g.k) and flags.head <= 2 < g.r + 1
+        m = completeness_mod._scan_digits(g, g.code_span)
+        assert 1 << (g.k * m) == max(4, g.q) and m <= 2 < g.r + 1
         for rep in (check_fast(c), check_split(c, 3, 2), check_split(c, 16, 2)):
             assert reports_agree(rep, reps["naive"]) and reports_agree(rep, reps["oracle"])
             assert rep.uncovered_count == reps["oracle"].uncovered_count
         checked += 1
     assert checked >= 400
+
+
+@pytest.mark.parametrize(
+    "r, q, size, m", [(2, 16, None, 3), (3, 16, 30, 4), (4, 16, 20, 4), (5, 16, 12, 4), (2, 256, 24, 2)]
+)
+def test_large_field_scans_agree_with_naive(r, q, size, m):
+    """Past the corpus's q <= 8: scan chunks of q^m codes, 2^16 at m = 4 (q = 16) and m = 2 (q = 256).
+
+    A greedy cap (complete at PG(2,16)) and its first two thirds.  PG(4,16),
+    PG(5,16) and PG(2,256) read their top blocks in strip chunks of 2^16
+    codes; in PG(5,16) a strip holds 16 chunks, each mapped to the run at
+    alpha^-1 times its offset.
+    """
+    import capcheck.completeness as completeness_mod
+
+    g = Geometry(r, q)
+    assert completeness_mod._scan_digits(g, g.code_span) == m
+    c = greedy_extend(Cap(g, ()), order_seed=1) if size is None else random_cap(g, size, seed=1)
+    for cap in (c, Cap(g, c.points[: c.n * 2 // 3])):
+        naive = check_naive(cap)
+        for rep in (check_fast(cap), check_split(cap, 16, 2)):
+            assert reports_agree(rep, naive) and rep.is_cap
+            assert (rep.uncovered_count, rep.pairs_processed, rep.marks_issued) == (
+                naive.uncovered_count, naive.pairs_processed, naive.marks_issued)
 
 
 def test_check_memory_is_bounded_by_its_maps():
@@ -249,16 +274,16 @@ def test_split_workers_write_their_own_flags(monkeypatch):
     import capcheck.completeness as completeness_mod
 
     writers = {}  # id -> (flags, threads); holding flags keeps its id from being reused
-    merge = completeness_mod.PointFlags.merge
+    set_run = completeness_mod.PointFlags.set_run
 
     def recording(self, *args):
         writers.setdefault(id(self), (self, set()))[1].add(threading.get_ident())
-        return merge(self, *args)
+        return set_run(self, *args)
 
     g = Geometry(6, 4)
     c = random_cap(g, 60, seed=9)
     base = check_fast(c)
-    monkeypatch.setattr(completeness_mod.PointFlags, "merge", recording)
+    monkeypatch.setattr(completeness_mod.PointFlags, "set_run", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -26,6 +26,14 @@ def test_search_caps_runs(monkeypatch, capsys):
     assert lines[-1].startswith("best: n=6 at seed ")
 
 
+def test_pg12_stress_runs(monkeypatch, capsys):
+    """A 200-point cap of PG(12,4) in 4 windows on 2 workers: a cap, not complete, exit 1."""
+    assert _load("pg12_stress", monkeypatch).main(["--size", "200", "--shards", "4", "--workers", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("grew a 200-point cap (seed 0) in ")
+    assert lines[-1].startswith("a cap, 22309805 uncovered; 59700 marks in ")
+    assert lines[-1].endswith(", peak window memory 4194304 bytes")
+
 
 @pytest.mark.parametrize(
     "script, argv, message",
