@@ -27,9 +27,11 @@ split   the fast checker over the next power of two >= shards windows
 
 Fast and split hold a covered bit per point (PointFlags), 2.7 MiB for
 PG(12,4), besides their maps; split holds a copy per worker, ORed into
-one when the workers are done.  They count the uncovered points by
-popcount and build them only when asked: a report's witnesses are read
-off the bits block by block, and `uncovered` holds them all once read.
+one when the workers are done.  Bit t stands for the point of index t
+in enumerate_points order, the one point order of the package.  They
+count the uncovered points by popcount and build them only when asked:
+a report reads its witnesses off the clear bits run by run, through
+points_by_index, and `uncovered` holds them all once read.
 
 Each also reads the cap property off its own marks: the first cap point
 on a secant of two others gives the witness triple (`violation`).  All
@@ -51,10 +53,11 @@ from .cap import Cap, CapViolation, _collinear_triple
 from .coverage import (DEFAULT_MAX_COVERAGE_BYTES, CoverageMap, SecantClusters, check_secant_counts,
                        mark_pair_secants, multiples_table, require_map_fits)
 from .errors import GeometryTooLargeError
-from .geometry import (  # noqa: F401  points_by_index: the benchmark's tracer wraps it here
+from .geometry import (
     Geometry,
     enumerate_points,
     index_of_point,
+    indices_of_points,
     normalize,
     points_by_index,
     scalar_mul_codes,
@@ -161,36 +164,25 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def _flag_block_bytes(g: Geometry) -> list[int]:
-    """Bytes of each block's bits: block d holds the q^d points q^d + s, s < q^d."""
-    return [-(-(1 << (g.k * d)) // 8) for d in range(g.r + 1)]
-
-
 class PointFlags:
-    """A covered bit per point of g, one packed array per block.
+    """A covered bit per point of g, in the order of enumerate_points.
 
-    Bit s of blocks[d] (little bit order) stands for the point q^d + s.
-    The blocks lie one after another in `bits`, each from a byte
-    boundary.  Bits are only ever set.  One thread writes an object:
-    each worker of check_split scans its windows into its own, and the
-    copies are ORed once the workers are done.
+    Bit t of `bits` (little bit order) stands for points_by_index(t), so
+    block d, the points q^d + s, starts at bit index_of_point(q^d).
+    Bits are only ever set.  One thread writes an object: each worker
+    of check_split scans its windows into its own, and the copies are
+    ORed once the workers are done.
     """
 
-    __slots__ = ("geometry", "bits", "blocks", "_starts", "_offsets")
+    __slots__ = ("geometry", "bits")
 
     def __init__(self, g: Geometry):
-        sizes = _flag_block_bytes(g)
-        ends = np.cumsum(sizes)
         self.geometry = g
-        self.bits = np.zeros(int(ends[-1]), dtype=np.uint8)
-        self.blocks = [self.bits[end - size : end] for size, end in zip(sizes, ends)]
-        self._starts = np.array([1 << (g.k * d) for d in range(g.r + 1)], dtype=np.uint64)
-        self._offsets = (ends - sizes).astype(np.uint64) << np.uint64(3)
+        self.bits = np.zeros(-(-g.point_count // 8), dtype=np.uint8)
 
     def test_and_set(self, codes: np.ndarray) -> np.ndarray:
         """Set the bits of normalized codes; returns whether each was set before."""
-        d = np.searchsorted(self._starts, codes, side="right") - 1
-        pos = self._offsets[d] + (codes - self._starts[d])
+        pos = indices_of_points(codes, self.geometry)
         at, masks = (pos >> np.uint64(3)).astype(np.intp), np.left_shift(1, pos & np.uint64(7)).astype(np.uint8)
         was = (self.bits[at] & masks) != 0
         np.bitwise_or.at(self.bits, at, masks)
@@ -198,27 +190,25 @@ class PointFlags:
 
     def set_run(self, d: int, run: int, covered: np.ndarray) -> None:
         """Set the bit of the point q^d + run + i of block d wherever covered[i], a byte per point, is 1."""
-        block = self.blocks[d]
-        first, end = run >> 3, -(-(run + covered.size) // 8)
-        bits = np.unpackbits(block[first:end], bitorder="little")
-        bits[run & 7 : (run & 7) + covered.size] |= covered
-        block[first:end] = np.packbits(bits, bitorder="little")
+        t = index_of_point(1 << (self.geometry.k * d), self.geometry) + run
+        first, end = t >> 3, -(-(t + covered.size) // 8)
+        bits = np.unpackbits(self.bits[first:end], bitorder="little")
+        bits[t & 7 : (t & 7) + covered.size] |= covered
+        self.bits[first:end] = np.packbits(bits, bitorder="little")
 
     def uncovered_count(self) -> int:
         """Points whose bit is clear, by popcount."""
         return self.geometry.point_count - int(_POPCOUNT.take(self.bits).sum(dtype=np.int64))
 
     def uncovered_runs(self) -> Iterator[np.ndarray]:
-        """The points whose bit is clear, ascending, in runs of a block slice each."""
+        """The points whose bit is clear, ascending, in runs of a slice of `bits` each."""
         g = self.geometry
-        for d, block in enumerate(self.blocks):
-            base = 1 << (g.k * d)
-            for a in range(0, block.size, _WITNESS_RUN_BYTES):
-                part = block[a : a + _WITNESS_RUN_BYTES]
-                bits = np.unpackbits(part, count=min(8 * part.size, base - 8 * a), bitorder="little")
-                s = np.flatnonzero(bits == 0).view(np.uint64)
-                s += np.uint64(base + 8 * a)
-                yield s
+        for a in range(0, self.bits.size, _WITNESS_RUN_BYTES):
+            part = self.bits[a : a + _WITNESS_RUN_BYTES]
+            clear = np.unpackbits(part, count=min(8 * part.size, g.point_count - 8 * a), bitorder="little") == 0
+            t = np.flatnonzero(clear).view(np.uint64)
+            t += np.uint64(8 * a)
+            yield points_by_index(t, g)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,7 @@ def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
     bits = min(g.code_bits, _MAX_WINDOW_BITS, (shards - 1).bit_length())
     width = g.code_span >> bits
     workers = min(workers, 1 << bits, _MAX_WORKERS)
-    _require_point_flags(g, sum(_flag_block_bytes(g)), workers)
+    _require_point_flags(g, -(-g.point_count // 8), workers)
     require_map_fits(width)
     codes = c.codes()
     mult = multiples_table(codes, g)

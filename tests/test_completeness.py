@@ -248,6 +248,35 @@ def test_large_field_scans_agree_with_naive(r, q, size, m):
                 naive.uncovered_count, naive.pairs_processed, naive.marks_issued)
 
 
+def test_witnesses_span_many_runs(monkeypatch, corpus, corpus_reports):
+    """Runs of one byte of covered bits, so each report reads its witnesses from many runs.
+
+    Blocks start inside bytes and share them: the first byte holds
+    blocks 0 to 3 at q = 2, 0 to 2 at q = 4, and 0 and 1 at q = 8.
+    """
+    import capcheck.completeness as completeness_mod
+
+    monkeypatch.setattr(completeness_mod, "_WITNESS_RUN_BYTES", 1)
+    for entry, reps in zip(corpus, corpus_reports):
+        c = entry.cap
+        naive = reps["naive"].uncovered
+        for rep in (check_fast(c), check_split(c, 16, 2)):
+            for k in (0, 1, 7, 8, 9, naive.size):
+                assert np.array_equal(rep.witnesses(k), naive[:k])
+            assert np.array_equal(rep.uncovered, naive)
+            assert np.array_equal(np.concatenate(list(rep.uncovered_runs())), naive)
+
+
+def test_witnesses_of_a_large_report():
+    """A 50-cap of PG(9,4): its 345812 uncovered points lie in 11 runs of 4096 bytes of covered bits."""
+    g = Geometry(9, 4)
+    c = random_cap(g, 50, seed=0)
+    naive = check_naive(c).uncovered
+    assert naive.size == 345812
+    for rep in (check_fast(c), check_split(c, 16, 2)):
+        assert np.array_equal(rep.uncovered, naive)
+
+
 def test_check_memory_is_bounded_by_its_maps():
     """A 50-cap of PG(9,4) leaves 345812 of 349525 points uncovered; the report of ten holds none of them."""
     import capcheck.coverage as coverage_mod
@@ -409,6 +438,40 @@ def test_every_workers_flags_count_toward_the_bound():
     peak, message = _traced_peak(lambda: check_split(c, 4, 2))
     assert message.startswith(f"PG(11,8) needs 2 x {-(-g.point_count // 8)} bytes of per-point flags, a copy per worker")
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "r, q, workers", [(33, 2, 1), (32, 2, 2), (31, 2, 4), (16, 4, 2), (17, 4, 0), (11, 8, 1), (8, 16, 3)]
+)
+def test_point_flag_bound_edges(monkeypatch, r, q, workers):
+    """check_split admits `workers` copies of the covered bits, ceil(point_count / 8) bytes each, and refuses one more.
+
+    PG(33,2) needs exactly 2^31 bytes a copy, the bound.  An admitted
+    check is stopped right after the bound is checked, before it
+    allocates anything.
+    """
+    import capcheck.completeness as completeness_mod
+
+    class Admitted(Exception):
+        pass
+
+    require = completeness_mod._require_point_flags
+
+    def admit(*args):
+        require(*args)
+        raise Admitted
+
+    monkeypatch.setattr(completeness_mod, "_require_point_flags", admit)
+    g = Geometry(r, q)
+    c = Cap(g, (1, q, q * q))
+    nbytes = -(-g.point_count // 8)
+    assert (nbytes == 1 << 31) == ((r, q) == (33, 2))
+    if workers:
+        with pytest.raises(Admitted):
+            check_split(c, 64, workers)
+    refused = rf"needs {nbytes} bytes" if workers == 0 else rf"needs {workers + 1} x {nbytes} bytes"
+    with pytest.raises(GeometryTooLargeError, match=refused):
+        check_split(c, 64, workers + 1)
 
 
 def test_peak_bytes_formulas():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -27,10 +28,14 @@ def test_search_caps_runs(monkeypatch, capsys):
 
 
 def test_pg12_stress_runs(monkeypatch, capsys):
-    """A 200-point cap of PG(12,4) in 4 windows on 2 workers: a cap, not complete, exit 1."""
+    """A 200-point cap of PG(12,4) in 4 windows on 2 workers: a cap, not complete, exit 1.
+
+    Its first ten witnesses lie in blocks 0, 1 and 2.
+    """
     assert _load("pg12_stress", monkeypatch).main(["--size", "200", "--shards", "4", "--workers", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("grew a 200-point cap (seed 0) in ")
+    assert json.loads("\n".join(lines[1:-1]))["uncovered_sample"] == [1, 4, 5, 6, 7, 16, 17, 18, 19, 20]
     assert lines[-1].startswith("a cap, 22309805 uncovered; 59700 marks in ")
     assert lines[-1].endswith(", peak window memory 4194304 bytes")
 
