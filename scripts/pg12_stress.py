@@ -11,7 +11,8 @@ full 8 MiB, next to one 1 MiB marking stage per worker.  The covered
 flags, a bit per point (2.7 MiB), are not split: each worker holds a
 copy, ORed into one at the end.  Each window forms only its own
 secant codes, so the shard count costs little time.  Growing the cap
-holds a byte per code (64 MiB) until it is complete.  Examples:
+marks the secants through each point it accepts a byte per code
+(64 MiB) until it is complete.  Examples:
 
     python3 scripts/pg12_stress.py --size 10000
     python3 scripts/pg12_stress.py --cap-file cap12.txt --shards 32 --workers 4

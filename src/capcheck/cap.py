@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .geometry import (
     points_by_index,
     scalar_mul_point,
 )
+
+if TYPE_CHECKING:
+    from .completeness import PointFlags
 
 _HEADER_RE = re.compile(r"#\s*PG\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
@@ -315,23 +318,22 @@ def _lcg_jumps(a: int, cadd: int, big: int, size: int) -> tuple[np.ndarray, np.n
 
 
 def _grow_greedily(
-    grow: ByteMap, start: Sequence[int], seed: int, limit: int | None = None
+    grow: ByteMap, covered: PointFlags, start: Sequence[int], seed: int, limit: int | None = None
 ) -> list[int]:
     """Extend a cap by scanning candidates in seeded permutation order.
 
     A point is added exactly when it lies on no secant of the current
-    cap (grow starts with those of `start`), i.e. when none of its
-    scalar multiples is marked.  One pass suffices: coverage only grows,
-    so every skipped point stays covered.
-
-    A chunk of candidates is tested against the map at once; each
-    survivor is then rechecked against the marks of the points accepted
-    since, one multiple at a time from alpha = 1, and rejected at the
-    first marked one.  An accepted point marks its secants from the
-    multiples its recheck formed.
+    cap: its bit in `covered` (the secants of `start`) is clear, and no
+    multiple of it is marked in grow (those through points accepted
+    since).  One pass suffices: coverage only grows.  A chunk of
+    candidate indices is cut to those whose bit is clear, and then, once
+    a point has been accepted, tested against grow at once.  Each
+    survivor is rechecked against grow one multiple at a time from
+    alpha = 1, as marks may have landed within the chunk; an accepted
+    point marks its secants from the multiples its recheck formed.
     """
     g = grow.geometry
-    n = len(start)
+    n = n0 = len(start)
     if limit is not None and n >= limit:
         return list(start)
     capset = set(start)
@@ -340,14 +342,17 @@ def _grow_greedily(
     nonzero = list(g.field.nonzero_elements())
     marked = grow.marked
     for idx in _lcg_chunks(g.point_count, seed, _GROW_CHUNK):
-        codes = points_by_index(idx, g)
-        covered = covered_codes(grow, codes, g)
-        if covered.all():
+        bits = covered.bits[(idx >> np.uint64(3)).view(np.intp)] >> (idx & np.uint64(7)).astype(np.uint8)
+        idx = idx[bits & 1 == 0]
+        if not idx.size:
             continue
-        for code in codes[~covered].tolist():
+        codes = points_by_index(idx, g)
+        if n > n0:
+            codes = codes[~covered_codes(grow, codes, g)]
+        for code in codes.tolist():
             if code in capset:
                 continue
-            row = []  # marks may have landed within the chunk: recheck up to the first marked multiple
+            row = []
             for alpha in nonzero:
                 x = scalar_mul_point(alpha, code, g)
                 if marked[x]:
@@ -370,21 +375,27 @@ def _grow_greedily(
 def greedy_extend(c: Cap, order_seed: int) -> Cap:
     """Complete cap containing c, deterministic for a given (c, seed).
 
-    Validates c on the bit-map of its secants, then grows on a byte per
-    code unpacked from it.  Refuses a geometry whose byte map is past
-    the bound before building either map.
+    Validates c on the bit-map of its secants and scans it, as a check
+    does, into the covered bits growth starts from.  Refuses a geometry
+    whose byte map is past the bound before building either map.
     """
+    from .completeness import PointFlags, _scan_window  # completeness imports this module
+
     g = c.geometry
     ByteMap.require_fits(g)
-    cov, witness = _secant_map(c) if c.n >= 2 else (None, None)
-    if witness is not None:
-        raise InvalidCapError(str(witness))
-    grow = ByteMap(g, cov)
-    del cov  # growth reads only the byte map
-    return Cap(g, tuple(_grow_greedily(grow, c.points, order_seed)))
+    covered = PointFlags(g)
+    if c.n >= 2:
+        cov, witness = _secant_map(c)
+        if witness is not None:
+            raise InvalidCapError(str(witness))
+        _scan_window(cov, covered)
+        del cov  # growth reads only the covered bits and the byte map
+    return Cap(g, tuple(_grow_greedily(ByteMap(g), covered, c.points, order_seed)))
 
 
 def random_cap(g: Geometry, size: int, seed: int) -> Cap:
     """Seed-determined cap of the requested size (smaller only if the
     greedy pass completes first)."""
-    return Cap(g, tuple(_grow_greedily(ByteMap(g), (), seed, limit=size)))
+    from .completeness import PointFlags  # completeness imports this module
+
+    return Cap(g, tuple(_grow_greedily(ByteMap(g), PointFlags(g), (), seed, limit=size)))

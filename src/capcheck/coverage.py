@@ -10,7 +10,9 @@ codes whose secants can land in it, and the marking work summed over
 all windows equals that of one full map.  A window holds whole
 clusters; each is stored a byte per code into a cache-sized stage,
 then packed into the window's bit-map in one pass (_Stage), the only
-way a window map is written.  Greedy growth marks a byte per code
+way a window map is written; the clustered values keep only their low
+bits, so each XOR is already a code's offset in its stage.  Growth
+marks the secants through the points it accepts a byte per code
 instead (ByteMap): a plain store per code, at 8 times the memory.
 
 Every code fits a uint64: a Geometry refuses codes over 64 bits when it
@@ -69,51 +71,39 @@ class CoverageMap:
     def is_full_span(self) -> bool:
         return self.lo == 0 and self.hi == self.geometry.code_span
 
-    def mark_codes(self, codes: np.ndarray) -> int:
-        """Store the codes into the cluster mark_pair_secants has staged; returns how many."""
+    def mark_codes(self, offsets: np.ndarray) -> int:
+        """Store codes, as offsets in the cluster mark_pair_secants has staged; returns how many."""
         if self._stage is None:
             raise ValueError("mark_codes needs a staged cluster; mark through mark_pair_secants")
-        return self._stage.store(codes)
+        return self._stage.store(offsets)
 
     def test_codes(self, codes: np.ndarray) -> np.ndarray:
         """Bit values for an array of codes; the map must span every code."""
-        self._require_full_span("test_codes")
+        if not self.is_full_span:
+            raise ValueError(f"test_codes needs a full-span map, not the window [{self.lo}, {self.hi})")
         bits = self._bits[(codes >> np.uint64(3)).astype(np.intp)] >> (codes & np.uint64(7)).astype(np.uint8)
         return (bits & 1).astype(bool)
-
-    def _require_full_span(self, what: str) -> None:
-        if not self.is_full_span:
-            raise ValueError(f"{what} needs a full-span map, not the window [{self.lo}, {self.hi})")
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
         """A byte per code in [lo, hi), 1 where marked; [lo, hi) must lie in the window."""
         a, b = lo - self.lo, hi - self.lo
         return np.unpackbits(self._bits[a >> 3 : -(-b // 8)], bitorder="little")[a & 7 : (a & 7) + (b - a)]
 
-    def marked_codes(self, lo: int, hi: int) -> np.ndarray:
-        """The marked codes in [lo, hi), ascending; [lo, hi) must lie in the window."""
-        return np.flatnonzero(self.bits(lo, hi)).astype(np.uint64) + np.uint64(lo)
-
 
 class ByteMap:
-    """A byte per raw code over the whole span: the map greedy growth works on.
+    """A byte per raw code over the whole span, zeroed: the secants of the points growth accepts.
 
-    Marking an accepted point's secants is a plain store, a few ns a
-    code, where a bit-map needs np.bitwise_or.at or a stage.  It holds
-    8 times the bit-map's bytes: 4 MiB at PG(10,4), 64 MiB at PG(12,4).
+    Marking one is a plain store, a few ns a code, where a bit-map
+    needs np.bitwise_or.at or a stage.  It holds 8 times the bit-map's
+    bytes: 4 MiB at PG(10,4), 64 MiB at PG(12,4).
     """
 
     __slots__ = ("geometry", "_marked")
 
-    def __init__(self, g: Geometry, bits: CoverageMap | None = None):
-        """Zeroed, or the marks of the full-span bit-map `bits`."""
+    def __init__(self, g: Geometry):
         self.require_fits(g)
         self.geometry = g
-        if bits is None:
-            self._marked = np.zeros(g.code_span, dtype=bool)
-        else:
-            bits._require_full_span("ByteMap")
-            self._marked = np.unpackbits(bits._bits, count=g.code_span, bitorder="little").view(bool)
+        self._marked = np.zeros(g.code_span, dtype=bool)
 
     @staticmethod
     def require_fits(g: Geometry) -> None:
@@ -142,28 +132,25 @@ class _Stage:
     A byte store into this cache-sized buffer costs a few ns, against
     tens of ns for np.bitwise_or.at into the bit-map; `pack` ORs the
     cluster into the map once it is done.  The window holds whole
-    clusters, so every code stored lands.  The buffer starts on the
-    map's byte grid, so a cluster narrower than a byte, or one that
-    starts inside a byte, still packs onto whole map bytes.
+    clusters, so every code stored lands; it comes as its offset
+    x - lo, its low bits, so it cannot leave the stage.  The buffer
+    starts on the map's byte grid, so a cluster narrower than a byte,
+    or one that starts inside a byte, still packs onto whole map bytes.
     """
 
-    __slots__ = ("lo", "size", "buf", "view", "first", "stored")
+    __slots__ = ("buf", "view", "first", "stored")
 
     def __init__(self, cov: CoverageMap, buf: np.ndarray, lo: int, size: int):
         rel = lo - cov.lo
-        self.lo, self.size = lo, size
         self.first = rel >> 3
         self.buf = buf[: ((rel & 7) + size + 7) & ~7]
         self.view = self.buf[rel & 7 :]  # view[x - lo] is the byte of code x
         self.stored = False
 
-    def store(self, codes: np.ndarray) -> int:
-        rel = codes - np.uint64(self.lo)  # a code below lo wraps past size
-        if rel.size and int(rel.max()) >= self.size:
-            raise InvariantError(f"code outside the staged cluster [{self.lo}, {self.lo + self.size})")
-        self.view[rel.view(np.intp)] = 1
-        self.stored |= rel.size > 0
-        return rel.size
+    def store(self, offsets: np.ndarray) -> int:
+        self.view[offsets.view(np.intp)] = 1
+        self.stored |= offsets.size > 0
+        return offsets.size
 
     def pack(self, cov: CoverageMap) -> None:
         if self.stored:
@@ -214,7 +201,7 @@ class SecantClusters:
 
 
 def _cluster(values: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarray, dict[int, slice]]:
-    """Values stably sorted by top bits, the sorting order, and top bits -> slice of its run."""
+    """The low `shift` bits of the values stably sorted by top bits, the sorting order, and top bits -> slice of its run."""
     top = values >> shift
     order = np.argsort(top, kind="stable")
     top = top[order]
@@ -222,7 +209,7 @@ def _cluster(values: np.ndarray, shift: np.uint64) -> tuple[np.ndarray, np.ndarr
     starts = [] if one_run else ((top[1:] != top[:-1]).nonzero()[0] + 1).tolist()
     bounds = [0, *starts, top.size]
     runs = {int(top[a]): slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a}
-    return values[order], order, runs
+    return values[order] & ((np.uint64(1) << shift) - np.uint64(1)), order, runs
 
 
 def mark_pair_secants(
@@ -235,10 +222,11 @@ def mark_pair_secants(
 
     `clusters` (by default clustered for this window's width) must tile
     the window with whole clusters, else ValueError; so the window forms
-    only the codes that fall in it.  Each cluster's codes are staged a
-    byte each, then packed into cov.  Returns (pairs whose code P_i ^ P_j
-    lies in the window, marks landed): over the windows of a partition
-    these sum to n(n-1)/2 and (q-1) n(n-1)/2.  Nothing is normalized.
+    only the codes that fall in it.  Each cluster's codes are formed as
+    offsets in it, staged a byte each, then packed into cov.  Returns
+    (pairs whose code P_i ^ P_j lies in the window, marks landed): over
+    the windows of a partition these sum to n(n-1)/2 and (q-1) n(n-1)/2.
+    Nothing is normalized.
     """
     width = cov.hi - cov.lo
     if clusters is None:

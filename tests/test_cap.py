@@ -408,6 +408,31 @@ def test_grown_caps_pinned(monkeypatch, seed, chunk):
     assert digests == GROWN_PG54[seed]
 
 
+# (r, q) -> size and sha256 of write_cap(c, "packed") of greedy_extend(its first k points,
+# 100) for k = 10 and 2, c = random_cap(PG(r,q), 200, 0); computed on the growth that
+# unpacked its start's secant map into the byte map
+GROWN_FROM_STARTS = {
+    (15, 2): [(967, "a142e1a710b47be290c6c094700ece8dad762218af464fcb0f1e4a83eb5323b1"),
+              (969, "bfc16e6c4bb45f8679a176594f16ea0fd591b71245bc5a2ccd0b4accdaa92d13")],
+    (5, 4): [(74, "f56f3fe33729571b63d339f9ae13ea5ea12e6f159514ad6101518231e3fce015"),
+             (65, "e4a797aa6c166c0871bdbfcac5a1c98890658de0a438d8124f6947862373832a")],
+    (5, 8): [(269, "46bb46a929c4f2ed753699e189850ba163ad35edb104bda731e7cca7f72099e9"),
+             (281, "a09237981158dfd6da2a5ef6d5d5eab1a996d40fe58a4101b94c67f478de09e2")],
+    (4, 16): [(270, "5edc013f8f8e8ad9ab964360789c61ceac87962eb7ab7a92e85428e4a2c956ba"),
+              (270, "d4c512a8a760e76772f277b0f83c90e8eb1625fce1fc9afbd3d856f17fa5c576")],
+}
+
+
+@pytest.mark.parametrize("r, q", sorted(GROWN_FROM_STARTS), ids=lambda v: str(v))
+def test_growth_from_starts_pinned(r, q):
+    """Growth from the covered bits of a 10- and a 2-point start, in fields other than GF(4) too."""
+    g = Geometry(r, q)
+    c = random_cap(g, 200, 0)
+    grown = [greedy_extend(Cap(g, c.points[:k]), 100) for k in (10, 2)]
+    digests = [(x.n, hashlib.sha256(write_cap(x, "packed").encode()).hexdigest()) for x in grown]
+    assert digests == GROWN_FROM_STARTS[(r, q)]
+
+
 @pytest.mark.parametrize(
     "r, q, seed", [(3, 4, s) for s in range(4)] + [(4, 4, s) for s in range(2)] + [(3, 8, s) for s in range(2)]
 )

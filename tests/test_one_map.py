@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import capcheck.cap as cap_mod
+import capcheck.completeness as completeness_mod
 import capcheck.coverage as coverage_mod
 from capcheck import Cap, Geometry, greedy_extend, normalize, random_cap, write_cap
 from capcheck.cli import main
@@ -38,18 +39,28 @@ def cap_file(tmp_path):
 
 
 @pytest.mark.parametrize("size", [2, 3, 12])
-def test_extend_marks_once(counted, size):
+def test_extend_marks_once(counted, monkeypatch, size):
+    """One full-span map, marked once and scanned once into the covered bits growth reads."""
     maps, marked = counted
+    scanned = []
+    scan = completeness_mod._scan_window
+
+    def counting_scan(cov, flags):
+        scanned.append(cov)
+        return scan(cov, flags)
+
+    monkeypatch.setattr(completeness_mod, "_scan_window", counting_scan)
     c = random_cap(Geometry(3, 4), size, seed=1)
     maps.clear()
     ext = greedy_extend(c, order_seed=4)
     assert ext.points[:size] == c.points
     assert len(maps) == 1 and maps[0].is_full_span
     assert len(marked) == 1 and marked[0] is maps[0]
+    assert len(scanned) == 1 and scanned[0] is maps[0]
 
 
 def test_extend_from_fewer_than_two_points_marks_nothing(counted):
-    """No secants to mark: growth starts on a zeroed byte map, and no bit-map is built."""
+    """No secants to mark: growth starts from clear covered bits, and no bit-map is built."""
     maps, marked = counted
     g = Geometry(3, 4)
     for start in [(), greedy_extend(Cap(g, ()), 0).points[:1]]:
