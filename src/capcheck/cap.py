@@ -22,14 +22,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .coverage import (
-    ByteMap,
-    CoverageMap,
-    check_secant_counts,
-    covered_codes,
-    mark_pair_secants,
-    multiples_table,
-)
+from .coverage import ByteMap, covered_codes, multiples_table
+from .coverage import mark_pair_secants  # noqa: F401  perfbench/spans.py wraps this name
 from .errors import (
     BadCoordinateError,
     DuplicatePointError,
@@ -197,32 +191,24 @@ def write_cap(c: Cap, fmt: str = "text", header: bool = False) -> str:
 def validate_cap(c: Cap) -> CapViolation | None:
     """None if no three points are collinear, else one witness triple.
 
-    Marks the q-1 interior points of every secant and looks for a cap
-    point among the marks; quadratic in n, never cubic.  Past the
-    bit-map bound, looks the secants up among the cap points' multiples
-    instead, in O(n q) memory.
+    The violation of check_fast: it marks the q-1 interior points of
+    every secant, scans the map into a covered bit per point and takes
+    the first cap point whose bit is set; quadratic in n, never cubic.
+    Where check_fast refuses its bit-map or its covered bits, looks the
+    secants up among the cap points' multiples instead, in O(n q) memory.
     """
+    from .completeness import check_fast  # completeness imports this module
+
     if c.n < 3:
         return None
     try:
-        return _secant_map(c)[1]
+        return check_fast(c).violation
     except GeometryTooLargeError:
         return _secant_lookup(c)
 
 
-def _secant_map(c: Cap) -> tuple[CoverageMap, CapViolation | None]:
-    """A full-span map of c's secants, and a collinear triple if it covers a point of c."""
-    g = c.geometry
-    codes = c.codes()
-    cov = CoverageMap(g)
-    mult = multiples_table(codes, g)
-    check_secant_counts(c.n, g.q, *mark_pair_secants(cov, mult, codes))
-    hit = np.flatnonzero(covered_codes(cov, codes, g))
-    return cov, _collinear_triple(c, int(hit[0])) if hit.size else None
-
-
 def _secant_lookup(c: Cap) -> CapViolation | None:
-    """What _secant_map finds, without a map: each secant code searched among the sorted multiples.
+    """What check_fast finds, without a map: each secant code searched among the sorted multiples.
 
     Secant alpha*P_i ^ P_j equals some beta*P_t exactly when P_t is on
     the line through P_i and P_j.  The witness starts from the least
@@ -323,9 +309,11 @@ def _grow_greedily(
     """Extend a cap by scanning candidates in seeded permutation order.
 
     A point is added exactly when it lies on no secant of the current
-    cap: its bit in `covered` (the secants of `start`) is clear, and no
-    multiple of it is marked in grow (those through points accepted
-    since).  One pass suffices: coverage only grows.  A chunk of
+    cap: its bit in `covered` (set on the secants of `start` and on
+    `start` itself) is clear, and no multiple of it is marked in grow
+    (the secants through points accepted since).  One pass suffices:
+    coverage only grows, and each index is a candidate once, so no
+    point of the cap comes up again.  A chunk of
     candidate indices is cut to those whose bit is clear, and then, once
     a point has been accepted, tested against grow at once.  Each
     survivor is rechecked against grow one multiple at a time from
@@ -336,7 +324,6 @@ def _grow_greedily(
     n = n0 = len(start)
     if limit is not None and n >= limit:
         return list(start)
-    capset = set(start)
     buf = np.empty(max(64, 2 * n), dtype=np.uint64)  # the cap so far, doubled when full
     buf[:n] = start
     nonzero = list(g.field.nonzero_elements())
@@ -350,8 +337,6 @@ def _grow_greedily(
         if n > n0:
             codes = codes[~covered_codes(grow, codes, g)]
         for code in codes.tolist():
-            if code in capset:
-                continue
             row = []
             for alpha in nonzero:
                 x = scalar_mul_point(alpha, code, g)
@@ -366,7 +351,6 @@ def _grow_greedily(
                 buf = np.concatenate((buf, np.empty_like(buf)))
             buf[n] = code
             n += 1
-            capset.add(code)
             if limit is not None and n >= limit:
                 return buf[:n].tolist()
     return buf[:n].tolist()
@@ -375,21 +359,24 @@ def _grow_greedily(
 def greedy_extend(c: Cap, order_seed: int) -> Cap:
     """Complete cap containing c, deterministic for a given (c, seed).
 
-    Validates c on the bit-map of its secants and scans it, as a check
-    does, into the covered bits growth starts from.  Refuses a geometry
-    whose byte map is past the bound before building either map.
+    Marks and scans c's secants as check_fast does, which validates c
+    and sets the covered bits of its secant points and of c itself:
+    growth starts from those bits.  A start of fewer than 2 points has
+    no secants, and only its own bits are set.  Refuses a geometry whose
+    byte map is past the bound before building either map.
     """
-    from .completeness import PointFlags, _scan_window  # completeness imports this module
+    from .completeness import PointFlags, _mark_and_scan  # completeness imports this module
 
     g = c.geometry
     ByteMap.require_fits(g)
-    covered = PointFlags(g)
     if c.n >= 2:
-        cov, witness = _secant_map(c)
-        if witness is not None:
-            raise InvalidCapError(str(witness))
-        _scan_window(cov, covered)
-        del cov  # growth reads only the covered bits and the byte map
+        covered, on_secant, *_ = _mark_and_scan(c)
+        if on_secant:
+            raise InvalidCapError(str(_collinear_triple(c, on_secant[0])))
+    else:
+        covered = PointFlags(g)
+        if c.n:  # an empty test_and_set still costs a few numpy calls, in every seed of a search
+            covered.test_and_set(c.codes())
     return Cap(g, tuple(_grow_greedily(ByteMap(g), covered, c.points, order_seed)))
 
 

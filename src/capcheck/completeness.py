@@ -36,7 +36,10 @@ points_by_index, and `uncovered` holds them all once read.
 Each also reads the cap property off its own marks: the first cap point
 on a secant of two others gives the witness triple (`violation`).  All
 four agree exactly on the verdict, the uncovered set and `violation`;
-the test suite holds them to that.
+the test suite holds them to that.  Fast and split mark and scan
+through one function, _mark_and_scan, the package's one secant-marking
+path: validate_cap reads check_fast's violation, and greedy_extend
+grows from the covered bits it returns.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from .cap import Cap, CapViolation, _collinear_triple
 from .coverage import (DEFAULT_MAX_COVERAGE_BYTES, CoverageMap, SecantClusters, check_secant_counts,
                        mark_pair_secants, multiples_table, require_map_fits)
-from .errors import GeometryTooLargeError
+from .errors import GeometryTooLargeError, InvariantError
 from .geometry import (
     Geometry,
     enumerate_points,
@@ -70,7 +73,7 @@ _MAX_WORKERS = 64
 # a scan chunk holds about 2^this codes, rounded to a power of q: its
 # gather table, 8 bytes a code, stays in the L2 cache
 _SCAN_BITS = 14
-# covered bits unpacked per run of witnesses
+# covered-bit bytes read at a time, per run of witnesses and per popcount step
 _WITNESS_RUN_BYTES = 1 << 12
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -190,6 +193,8 @@ class PointFlags:
 
     def set_run(self, d: int, run: int, covered: np.ndarray) -> None:
         """Set the bit of the point q^d + run + i of block d wherever covered[i], a byte per point, is 1."""
+        if run + covered.size > 1 << (self.geometry.k * d):
+            raise InvariantError(f"a run of {covered.size} points from {run} overruns block {d}")
         t = index_of_point(1 << (self.geometry.k * d), self.geometry) + run
         first, end = t >> 3, -(-(t + covered.size) // 8)
         bits = np.unpackbits(self.bits[first:end], bitorder="little")
@@ -197,8 +202,10 @@ class PointFlags:
         self.bits[first:end] = np.packbits(bits, bitorder="little")
 
     def uncovered_count(self) -> int:
-        """Points whose bit is clear, by popcount."""
-        return self.geometry.point_count - int(_POPCOUNT.take(self.bits).sum(dtype=np.int64))
+        """Points whose bit is clear, by popcount in steps: take widens its indices to 8 bytes each."""
+        steps = range(0, self.bits.size, _WITNESS_RUN_BYTES)
+        return self.geometry.point_count - sum(
+            int(_POPCOUNT.take(self.bits[a : a + _WITNESS_RUN_BYTES]).sum(dtype=np.int64)) for a in steps)
 
     def uncovered_runs(self) -> Iterator[np.ndarray]:
         """The points whose bit is clear, ascending, in runs of a slice of `bits` each."""
@@ -278,6 +285,18 @@ def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
     if shards < 1 or workers < 1:
         raise ValueError("shards and workers must be >= 1")
     t0 = time.perf_counter()
+    flags, on_secant, pairs, marks, peak = _mark_and_scan(c, shards, workers)
+    return _finish(c, on_secant, flags, pairs, marks, "fast", shards, peak, t0)
+
+
+def _mark_and_scan(c: Cap, shards: int = 1, workers: int = 1) -> tuple[PointFlags, list[int], int, int, int]:
+    """Mark c's secants in check_split's windows and scan them into covered bits: the one secant-marking path.
+
+    Returns the covered bits, with the cap points' bits set as well; the
+    indices of the cap points that lie on a secant of two others,
+    ascending; the pairs and marks, checked whole; and the peak bytes of
+    the bit-maps.
+    """
     g = c.geometry
     # 2^bits >= shards windows, each a whole number of clusters
     bits = min(g.code_bits, _MAX_WINDOW_BITS, (shards - 1).bit_length())
@@ -311,8 +330,7 @@ def check_split(c: Cap, shards: int, workers: int = 1) -> CompletenessReport:
     check_secant_counts(c.n, g.q, pairs, marks)
     # a cap point on a secant makes a collinear triple; cap points are never uncovered
     on_secant = np.flatnonzero(flags.test_and_set(codes)).tolist()
-    peak = workers * (-(-width // 8))
-    return _finish(c, on_secant, flags, pairs, marks, "fast", shards, peak, t0)
+    return flags, on_secant, pairs, marks, workers * (-(-width // 8))
 
 
 def _require_point_flags(g: Geometry, nbytes: int, copies: int = 1) -> None:

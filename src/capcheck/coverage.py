@@ -11,9 +11,12 @@ all windows equals that of one full map.  A window holds whole
 clusters; each is stored a byte per code into a cache-sized stage,
 then packed into the window's bit-map in one pass (_Stage), the only
 way a window map is written; the clustered values keep only their low
-bits, so each XOR is already a code's offset in its stage.  Growth
-marks the secants through the points it accepts a byte per code
-instead (ByteMap): a plain store per code, at 8 times the memory.
+bits, so each XOR is already a code's offset in its stage.  A window
+map is read only by the check's scan (completeness.py), which is also
+how validation and growth read a cap's secants.  Growth marks the
+secants through the points it accepts a byte per code instead
+(ByteMap): a plain store per code, at 8 times the memory, read by
+covered_codes.
 
 Every code fits a uint64: a Geometry refuses codes over 64 bits when it
 is built.
@@ -67,22 +70,11 @@ class CoverageMap:
         self._bits = np.zeros(self.nbytes, dtype=np.uint8)
         self._stage: _Stage | None = None
 
-    @property
-    def is_full_span(self) -> bool:
-        return self.lo == 0 and self.hi == self.geometry.code_span
-
     def mark_codes(self, offsets: np.ndarray) -> int:
         """Store codes, as offsets in the cluster mark_pair_secants has staged; returns how many."""
         if self._stage is None:
             raise ValueError("mark_codes needs a staged cluster; mark through mark_pair_secants")
         return self._stage.store(offsets)
-
-    def test_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Bit values for an array of codes; the map must span every code."""
-        if not self.is_full_span:
-            raise ValueError(f"test_codes needs a full-span map, not the window [{self.lo}, {self.hi})")
-        bits = self._bits[(codes >> np.uint64(3)).astype(np.intp)] >> (codes & np.uint64(7)).astype(np.uint8)
-        return (bits & 1).astype(bool)
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
         """A byte per code in [lo, hi), 1 where marked; [lo, hi) must lie in the window."""
@@ -292,8 +284,8 @@ def _staircase(mv: np.ndarray, mi: np.ndarray, cv: np.ndarray, ci: np.ndarray) -
             yield strip[np.arange(first, last) >= s[a:b, None]]
 
 
-def covered_codes(cov: CoverageMap | ByteMap, codes: np.ndarray, g: Geometry) -> np.ndarray:
-    """For each code, whether any of its q-1 scalar multiples is marked."""
+def covered_codes(cov: ByteMap, codes: np.ndarray, g: Geometry) -> np.ndarray:
+    """For each code, whether any of its q-1 scalar multiples is marked in growth's byte map."""
     covered = cov.test_codes(codes)
     for alpha in range(2, g.q):
         covered |= cov.test_codes(scalar_mul_codes(alpha, codes, g))

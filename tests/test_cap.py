@@ -34,6 +34,7 @@ from capcheck import (
     write_cap,
 )
 import capcheck.cap as cap_mod
+import capcheck.completeness as comp_mod
 from capcheck.cap import _lcg_chunks, _lcg_jumps
 from capcheck.coverage import DEFAULT_MAX_COVERAGE_BYTES
 from oracles import RefField, collinear, find_collinear_triple, greedy_cap, normalize_vec, vec_add, vec_scale
@@ -192,8 +193,8 @@ def test_validate_agrees_with_cubic_oracle(random_point_sets, seed):
         assert collinear(ref, va, vb, vx)
 
 
-def _no_secant_map(c: Cap):
-    """Stands in for cap._secant_map, as past the bit-map bound, to force validate_cap's secant lookup."""
+def _past_the_bound(width: int) -> None:
+    """Stands in for the check's require_map_fits, as past the bit-map bound, to force validate_cap's secant lookup."""
     raise GeometryTooLargeError("forced secant lookup")
 
 
@@ -236,7 +237,7 @@ def test_validate_paths_give_one_witness(monkeypatch, rq):
     ref = RefField(g.k, g.field.modulus)
     non_caps = [_non_cap(g, seed) for seed in range(10)]
     on_map = [validate_cap(c) for c in non_caps]
-    monkeypatch.setattr(cap_mod, "_secant_map", _no_secant_map)
+    monkeypatch.setattr(comp_mod, "require_map_fits", _past_the_bound)
     for c, want in zip(non_caps, on_map):
         assert want is not None and validate_cap(c) == want
         vecs = [tuple(decode_point(p, g)) for p in c.points]
@@ -253,7 +254,7 @@ def test_witness_rule(monkeypatch, points, triple):
     """Through the first point on a secant: its first partner in cap order, then the least third point."""
     c = Cap(PG24, points)
     assert validate_cap(c).triple == triple
-    monkeypatch.setattr(cap_mod, "_secant_map", _no_secant_map)
+    monkeypatch.setattr(comp_mod, "require_map_fits", _past_the_bound)
     assert validate_cap(c).triple == triple
 
 
@@ -362,16 +363,14 @@ def test_greedy_rejects_non_cap():
 
 @pytest.mark.parametrize("under", [(1, 0), (0, 1)])
 def test_secant_map_checks_its_counts(hyperoval, monkeypatch, under):
-    """Validation and growth check the (pairs, marks) of their secant map."""
-    import capcheck.cap as cap_mod
-
-    mark = cap_mod.mark_pair_secants
+    """Validation and growth check the (pairs, marks) of their secant map, marked through the check."""
+    mark = comp_mod.mark_pair_secants
 
     def short(*args):
         pairs, landed = mark(*args)
         return pairs - under[0], landed - under[1]
 
-    monkeypatch.setattr(cap_mod, "mark_pair_secants", short)
+    monkeypatch.setattr(comp_mod, "mark_pair_secants", short)
     with pytest.raises(InvariantError, match="windows landed"):
         validate_cap(hyperoval)
     with pytest.raises(InvariantError, match="windows landed"):

@@ -13,6 +13,7 @@ from capcheck import (
     CapViolation,
     Geometry,
     GeometryTooLargeError,
+    InvariantError,
     check_fast,
     check_naive,
     check_oracle,
@@ -295,6 +296,24 @@ def test_check_memory_is_bounded_by_its_maps():
     assert peak < bitmap + stage + flags + (1 << 19)
 
 
+def test_popcount_builds_no_index_array():
+    """uncovered_count reads the bits in steps, not through one take of 8 index bytes per byte of bits."""
+    from capcheck.completeness import PointFlags
+
+    g = Geometry(10, 4)
+    flags = PointFlags(g)
+    flags.bits[:1000] = 0xFF
+    flags.uncovered_count()
+    tracemalloc.start()
+    try:
+        count = flags.uncovered_count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == g.point_count - 8000
+    assert peak < flags.bits.size // 2
+
+
 def test_split_workers_write_their_own_flags(monkeypatch):
     """More workers than cores, switching threads often: each covered-bit array has one writing thread."""
     import sys
@@ -322,6 +341,19 @@ def test_split_workers_write_their_own_flags(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(writers) > 5  # more than one per check
     assert all(len(threads) == 1 for _, threads in writers.values())
+
+
+@pytest.mark.parametrize("d, run, size", [(0, 0, 2), (1, 3, 2), (1, 0, 5), (2, 15, 2), (3, 60, 5)])
+def test_set_run_stays_in_its_block(d, run, size):
+    """A run past the q^d points of block d raises and sets nothing; one point shorter, it fits."""
+    from capcheck.completeness import PointFlags
+
+    flags = PointFlags(Geometry(3, 4))  # blocks of 1, 4, 16 and 64 points
+    with pytest.raises(InvariantError, match="overruns block"):
+        flags.set_run(d, run, np.ones(size, dtype=np.uint8))
+    assert not flags.bits.any()
+    flags.set_run(d, run, np.ones(size - 1, dtype=np.uint8))
+    assert flags.uncovered_count() == Geometry(3, 4).point_count - (size - 1)
 
 
 def test_split_rejects_bad_arguments(hyperoval):
@@ -645,7 +677,6 @@ def test_non_cap_report_leaves_out_its_points(pg24):
 
 _BROKEN_INVARIANTS = """
 import numpy as np
-import capcheck.cap as cap_mod
 import capcheck.completeness as comp_mod
 from capcheck import Cap, Geometry, InvariantError, check_split, greedy_extend, validate_cap
 
@@ -664,11 +695,17 @@ try:
     check_split(c, 4, 2)
 except InvariantError as exc:
     print("check:", exc)
-cap_mod.covered_codes = lambda cov, codes, g: np.ones(codes.shape, dtype=bool)
+comp_mod.mark_pair_secants = mark
+# every cap point reads as covered in the check's cap test, validate_cap's too
+comp_mod.PointFlags.test_and_set = lambda self, codes: np.ones(codes.shape, dtype=bool)
 try:
     validate_cap(c)
 except InvariantError as exc:
     print("validate:", exc)
+try:
+    comp_mod.PointFlags(g).set_run(1, 3, np.ones(2, dtype=np.uint8))
+except InvariantError as exc:
+    print("set_run:", exc)
 """
 
 
@@ -686,3 +723,4 @@ def test_invariants_raise_under_optimize():
     ).stdout
     assert "check: windows landed" in out
     assert "validate: covered cap point without a generating pair" in out
+    assert "set_run: a run of 2 points from 3 overruns block 1" in out

@@ -40,8 +40,6 @@ def test_window_map_takes_marks_only_through_a_stage(hyperoval):
     codes = np.array([1, 16, 31, 32, 63], dtype=np.uint64)
     with pytest.raises(ValueError):
         cov.mark_codes(codes)
-    with pytest.raises(ValueError):
-        cov.test_codes(codes)
     t = multiples_table(hyperoval.codes(), PG24)
     mark_pair_secants(cov, t, hyperoval.codes())
     full = CoverageMap(PG24)
@@ -50,8 +48,10 @@ def test_window_map_takes_marks_only_through_a_stage(hyperoval):
 
 
 def test_full_span_flag():
-    assert CoverageMap(PG24).is_full_span
-    assert not CoverageMap(PG24, lo=0, hi=32).is_full_span
+    """A map spans the whole code range unless given a window."""
+    full, window = CoverageMap(PG24), CoverageMap(PG24, lo=0, hi=32)
+    assert (full.lo, full.hi, full.nbytes) == (0, PG24.code_span, 8)
+    assert (window.lo, window.hi, window.nbytes) == (0, 32, 4)
     with pytest.raises(ValueError, match=r"bad window \[5, 3\) for span 64"):
         CoverageMap(PG24, 5, 3)
 
@@ -129,14 +129,17 @@ def test_blocked_path_matches_oneshot(monkeypatch, hyperoval):
 
 
 def test_covered_codes_oracle(frame4):
+    """covered_codes reads growth's byte map, here marked with the secants a check marks."""
     cov = CoverageMap(PG24)
     t = multiples_table(frame4.codes(), PG24)
     mark_pair_secants(cov, t, frame4.codes())
     from capcheck import enumerate_points, scalar_mul_point
 
-    pts = np.array(list(enumerate_points(PG24)), dtype=np.uint64)
-    got = covered_codes(cov, pts, PG24)
     marked = set(_marked(cov, 0, 64))
+    grow = ByteMap(PG24)
+    grow.mark_codes(np.array(sorted(marked), dtype=np.uint64))
+    pts = np.array(list(enumerate_points(PG24)), dtype=np.uint64)
+    got = covered_codes(grow, pts, PG24)
     for p, flag in zip(pts, got):
         reps_marked = any(scalar_mul_point(a, int(p), PG24) in marked for a in (1, 2, 3))
         assert bool(flag) == reps_marked
@@ -190,7 +193,7 @@ def test_marked_codes_reads_a_range():
     flags = np.zeros(PG24.code_span, dtype=bool)
     flags[[5, 12, 13, 40, 49]] = True
     cov._bits[:] = np.packbits(flags, bitorder="little")
-    assert cov.test_codes(np.arange(64, dtype=np.uint64)).tolist() == flags.tolist()
+    assert _marked(cov, 0, 64) == np.flatnonzero(flags).tolist()
     assert _marked(cov, 5, 50) == [5, 12, 13, 40, 49]
     assert _marked(cov, 13, 41) == [13, 40]
     assert _marked(cov, 14, 40) == []
